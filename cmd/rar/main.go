@@ -21,9 +21,8 @@
 // With -certify the run prints the independent output certificate —
 // structural equivalence, retiming-label legality, EDL soundness and cost
 // accounting re-derived from the result — as text, or as JSON under
-// -certify-json. The core approaches (grar, base) always run the
-// certifier as a post-solve gate; the flag additionally certifies the
-// virtual-library approaches and renders the certificate.
+// -certify-json. Every approach runs the certifier as a post-solve gate;
+// the flag renders the certificate.
 //
 // The trace flags observe the pipeline: -trace prints the span tree
 // (per-stage durations, simplex pivots, SSP augmenting paths, LP sizes)
@@ -322,8 +321,8 @@ func run(ctx context.Context, o options) error {
 	fmt.Fprintf(info, "circuit %s: %d gates, %d boundary registers, %s\n",
 		c.Name, c.GateCount(), c.FlopCount(), scheme)
 
-	var placement *netlist.Placement
-	var edMasters map[int]bool
+	var res *core.Result
+	vl := false
 	switch o.approach {
 	case "grar", "base":
 		opt := core.Options{Scheme: scheme, EDLCost: o.overhead, Method: m}
@@ -334,78 +333,43 @@ func run(ctx context.Context, o options) error {
 		if o.approach == "base" {
 			ap = core.ApproachBase
 		}
-		res, err := core.RetimeCtx(ctx, c, opt, ap)
-		if err != nil {
-			// The post-solve gate attaches the certificate even when it
-			// fails; render the findings before surfacing exit code 5.
-			if res != nil && res.Certificate != nil && o.certify {
-				if cerr := emitCertificate(res.Certificate, o); cerr != nil {
-					return cerr
-				}
-			}
-			return err
-		}
-		fmt.Fprintf(info, "%s: %d slave latches, %d masters, %d error-detecting\n",
-			ap, res.SlaveCount, res.MasterCount, res.EDCount)
-		fmt.Fprintf(info, "sequential area %.2f, total area %.2f, runtime %v (solver %v%s)\n",
-			res.SeqArea, res.TotalArea, res.Runtime, res.Solver, fallbackNote(res.SolverFallback, res.FallbackReason))
-		if len(res.Violations) > 0 {
-			fmt.Fprintf(info, "WARNING: %d residual timing violations\n", len(res.Violations))
-		}
-		if o.certify {
-			if err := emitCertificate(res.Certificate, o); err != nil {
-				return err
-			}
-		}
-		placement = res.Placement
-		edMasters = res.EDMasters
+		res, err = core.RetimeCtx(ctx, c, opt, ap)
 	case "nvl", "evl", "rvl":
+		vl = true
 		variant := map[string]vlib.Variant{"nvl": vlib.NVL, "evl": vlib.EVL, "rvl": vlib.RVL}[o.approach]
-		shape := cert.Snapshot(c)
-		res, err := vlib.RetimeCtx(ctx, c, vlib.Options{Scheme: scheme, EDLCost: o.overhead, Method: m, PostSwap: true}, variant)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(info, "%v: %d slave latches, %d masters, %d error-detecting (%d swaps, %d upsized)\n",
-			variant, res.SlaveCount, res.MasterCount, res.EDCount, res.Swaps, res.Upsized)
-		fmt.Fprintf(info, "sequential area %.2f, total area %.2f, runtime %v\n",
-			res.SeqArea, res.TotalArea, res.Runtime)
-		if o.certify {
-			// The virtual-library flow retimes a sized clone: compare
-			// gates by logic function (the incremental compile changes
-			// drive strengths, never functions).
-			crt, err := cert.Run(ctx, cert.Subject{
-				Original:    shape,
-				Retimed:     res.Circuit,
-				Placement:   res.Placement,
-				Scheme:      scheme,
-				Latch:       res.Circuit.Lib.BaseLatch,
-				EDMasters:   res.EDMasters,
-				SlaveCount:  res.SlaveCount,
-				MasterCount: res.MasterCount,
-				EDCount:     res.EDCount,
-				SeqArea:     res.SeqArea,
-				EDLCost:     o.overhead,
-				Approach:    variant.String(),
-			}, cert.Config{AllowResizing: true})
-			if err != nil {
-				return err
-			}
-			if cerr := emitCertificate(crt, o); cerr != nil {
-				return cerr
-			}
-			if ferr := crt.Err(); ferr != nil {
-				return ferr
-			}
-		}
-		placement = res.Placement
-		edMasters = res.EDMasters
+		res, err = vlib.RetimeCtx(ctx, c, vlib.Options{Scheme: scheme, EDLCost: o.overhead, Method: m, PostSwap: true}, variant)
 	default:
 		return usagef("unknown approach %q", o.approach)
 	}
+	if err != nil {
+		// The post-solve gate attaches the certificate even when it
+		// fails; render the findings before surfacing exit code 5.
+		if res != nil && res.Certificate != nil && o.certify {
+			if cerr := emitCertificate(res.Certificate, o); cerr != nil {
+				return cerr
+			}
+		}
+		return err
+	}
+	repairs := ""
+	if vl {
+		repairs = fmt.Sprintf(" (%d swaps, %d upsized)", res.Swaps, res.Upsized)
+	}
+	fmt.Fprintf(info, "%s: %d slave latches, %d masters, %d error-detecting%s\n",
+		res.Approach, res.SlaveCount, res.MasterCount, res.EDCount, repairs)
+	fmt.Fprintf(info, "sequential area %.2f, total area %.2f, runtime %v (solver %v%s)\n",
+		res.SeqArea, res.TotalArea, res.Runtime, res.Solver, fallbackNote(res.SolverFallback, res.FallbackReason))
+	if len(res.Violations) > 0 {
+		fmt.Fprintf(info, "WARNING: %d residual timing violations\n", len(res.Violations))
+	}
+	if o.certify {
+		if err := emitCertificate(res.Certificate, o); err != nil {
+			return err
+		}
+	}
 
 	if o.instrument != "" {
-		names := edFlopNames(c, edMasters)
+		names := edFlopNames(c, res.EDMasters)
 		if len(names) == 0 {
 			fmt.Println("no error-detecting masters; writing the design uninstrumented")
 		}
@@ -427,9 +391,9 @@ func run(ctx context.Context, o options) error {
 		fmt.Printf("wrote instrumented netlist with %d detectors to %s\n", len(names), o.instrument)
 	}
 
-	if o.dump && placement != nil {
+	if o.dump {
 		fmt.Println("slave latches at the outputs of:")
-		drivers := placement.LatchedDrivers()
+		drivers := res.Placement.LatchedDrivers()
 		names := make([]string, 0, len(drivers))
 		for _, id := range drivers {
 			names = append(names, c.Nodes[id].Name)

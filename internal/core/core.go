@@ -70,10 +70,14 @@ type Options struct {
 	StaOverride *sta.Options
 }
 
-// Result is a completed retiming with its ground-truth evaluation.
+// Result is a completed retiming with its ground-truth evaluation. It is
+// the one result type of every retiming family: G-RAR and Base fill it
+// here, the virtual-library flows in package vlib.
 type Result struct {
-	Circuit   *netlist.Circuit
-	Approach  Approach
+	Circuit *netlist.Circuit
+	// Approach names the approach the way the paper's tables do
+	// ("g-rar", "base", "nvl-rar", "evl-rar", "rvl-rar").
+	Approach  string
 	Options   Options
 	Placement *netlist.Placement
 
@@ -105,6 +109,14 @@ type Result struct {
 	// as pessimistic as the evaluation model).
 	Violations []sta.Violation
 
+	// Relaxed, Swaps and Upsized count the virtual-library flow's repairs
+	// (zero for G-RAR and Base): endpoints flipped to error-detecting to
+	// make the latch-type assignment feasible, post-retiming latch-type
+	// changes, and gates the incremental compile strengthened.
+	Relaxed int
+	Swaps   int
+	Upsized int
+
 	// Solver reports the flow solver that produced the accepted retiming;
 	// SolverFallback / FallbackReason / SolverCertified mirror the
 	// hardened solve's flow.Report.
@@ -115,10 +127,14 @@ type Result struct {
 
 	// Certificate is the independent output certification (structural
 	// equivalence, retiming-label legality, EDL soundness, cost
-	// accounting) run as a post-solve gate. It is attached even when
+	// accounting) attached by Certify. It is attached even when
 	// certification fails, so callers can inspect the findings behind
 	// the returned error.
 	Certificate *cert.Certificate
+	// CertConfig is the certifier configuration the producing flow is
+	// judged under: zero for G-RAR and Base, the resizing and ED-superset
+	// tolerances for the virtual-library flows.
+	CertConfig cert.Config
 
 	// Trace is the observability report of the run — the span tree with
 	// per-stage durations and solver counters — when the context carried
@@ -133,6 +149,68 @@ type Result struct {
 	// certification gate; Runtime - CertifyTime is the solve proper. The
 	// serving engine splits its per-stage latency histograms on it.
 	CertifyTime time.Duration
+}
+
+// RecordSolve copies the accepted flow solve onto the result: the
+// reclaim claims and objective the certifier audits, and the solver,
+// fallback and duality-certification provenance of the hardened solve.
+func (r *Result) RecordSolve(sol *rgraph.Solution) {
+	r.Reclaimed = sol.PseudoFired
+	r.Objective = sol.Objective
+	r.Solver = sol.Method
+	r.SolverFallback = sol.Fallback
+	r.FallbackReason = sol.FallbackReason
+	r.SolverCertified = sol.Certified
+}
+
+// Certify is the certification gate of every retiming result: the
+// post-solve gate of RetimeCtx and vlib.RetimeCtx, and the engine's
+// cache restore. It builds the certifier's subject from the result's own
+// claims, judges it against original (the structural snapshot of the
+// input circuit taken before the flow ran) under res.CertConfig, and
+// attaches the certificate and its duration to res. The error reports a
+// run that could not complete, or a certificate with findings; the
+// latter wraps cert.ErrNotCertified and lists the first five.
+func Certify(ctx context.Context, res *Result, original *cert.Shape) error {
+	start := time.Now()
+	evalOpt := evalOptions(res.Circuit, res.Options)
+	crt, err := cert.Run(ctx, cert.Subject{
+		Original:    original,
+		Retimed:     res.Circuit,
+		Placement:   res.Placement,
+		Scheme:      res.Options.Scheme,
+		Latch:       slaveLatch(res.Circuit, res.Options),
+		StaOptions:  &evalOpt,
+		EDMasters:   res.EDMasters,
+		Reclaimed:   res.Reclaimed,
+		SlaveCount:  res.SlaveCount,
+		MasterCount: res.MasterCount,
+		EDCount:     res.EDCount,
+		SeqArea:     res.SeqArea,
+		EDLCost:     res.Options.EDLCost,
+		Objective:   res.Objective,
+		Approach:    res.Approach,
+	}, res.CertConfig)
+	if err != nil {
+		return err
+	}
+	res.Certificate = crt
+	res.CertifyTime = time.Since(start)
+	if ferr := crt.Err(); ferr != nil {
+		return listFirst(ferr, crt.Findings)
+	}
+	return nil
+}
+
+// listFirst appends the first five findings behind a gate error to it.
+func listFirst[T any](ferr error, findings []T) error {
+	for i, f := range findings {
+		if i == 5 {
+			return fmt.Errorf("%w\n  ... and %d more", ferr, len(findings)-i)
+		}
+		ferr = fmt.Errorf("%w\n  %v", ferr, f)
+	}
+	return ferr
 }
 
 // staOptions derives the optimization timing options.
@@ -208,15 +286,7 @@ func RetimeCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach Ap
 		return nil, fmt.Errorf("core: %s: %w", approach, err)
 	}
 	if ferr := lintRep.Err(); ferr != nil {
-		findings := lintRep.Findings()
-		for i, d := range findings {
-			if i == 5 {
-				ferr = fmt.Errorf("%w\n  ... and %d more", ferr, len(findings)-i)
-				break
-			}
-			ferr = fmt.Errorf("%w\n  %v", ferr, d)
-		}
-		return nil, fmt.Errorf("core: %s: pre-flight %w", approach, ferr)
+		return nil, fmt.Errorf("core: %s: pre-flight %w", approach, listFirst(ferr, lintRep.Findings()))
 	}
 	optTiming := sta.AnalyzeCtx(ctx, c, staOpt)
 	latch := slaveLatch(c, opt)
@@ -249,61 +319,26 @@ func RetimeCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach Ap
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", approach, err)
 	}
-	res := evaluate(ctx, c, opt, approach, sol.Placement, latch)
+	res := evaluate(ctx, c, opt, approach.String(), sol.Placement, latch)
 	res.Trace = obs.FromContext(ctx).Report()
-	res.Reclaimed = sol.PseudoFired
-	res.Objective = sol.Objective
-	res.Solver = sol.Method
-	res.SolverFallback = sol.Fallback
-	res.FallbackReason = sol.FallbackReason
-	res.SolverCertified = sol.Certified
+	res.RecordSolve(sol)
 	res.Classes = make(map[rgraph.TargetClass]int)
 	for _, cls := range g.Class {
 		res.Classes[cls]++
 	}
 	// Post-solve gate: independently certify the output. The result is
 	// returned alongside the error so callers can render the findings.
-	evalOpt := evalOptions(c, opt)
-	certStart := time.Now()
-	crt, err := cert.Run(ctx, cert.Subject{
-		Original:    shape,
-		Retimed:     c,
-		Placement:   res.Placement,
-		Scheme:      opt.Scheme,
-		Latch:       latch,
-		StaOptions:  &evalOpt,
-		EDMasters:   res.EDMasters,
-		Reclaimed:   sol.PseudoFired,
-		SlaveCount:  res.SlaveCount,
-		MasterCount: res.MasterCount,
-		EDCount:     res.EDCount,
-		SeqArea:     res.SeqArea,
-		EDLCost:     opt.EDLCost,
-		Objective:   res.Objective,
-		Approach:    approach.String(),
-	}, cert.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", approach, err)
-	}
-	res.Certificate = crt
-	res.CertifyTime = time.Since(certStart)
+	err = Certify(ctx, res, shape)
 	res.Runtime = time.Since(start)
-	if ferr := crt.Err(); ferr != nil {
-		for i, f := range crt.Findings {
-			if i == 5 {
-				ferr = fmt.Errorf("%w\n  ... and %d more", ferr, len(crt.Findings)-i)
-				break
-			}
-			ferr = fmt.Errorf("%w\n  %v", ferr, f)
-		}
-		return res, fmt.Errorf("core: %s: post-solve %w", approach, ferr)
+	if err != nil {
+		return res, fmt.Errorf("core: %s: post-solve %w", approach, err)
 	}
 	return res, nil
 }
 
 // evaluate settles ED status and areas for a placement under the
 // evaluation timing model.
-func evaluate(ctx context.Context, c *netlist.Circuit, opt Options, approach Approach, p *netlist.Placement, latch cell.Latch) *Result {
+func evaluate(ctx context.Context, c *netlist.Circuit, opt Options, approach string, p *netlist.Placement, latch cell.Latch) *Result {
 	sp, ctx := obs.StartSpan(ctx, "core.evaluate")
 	defer sp.End()
 	evalTiming := sta.AnalyzeCtx(ctx, c, evalOptions(c, opt))
@@ -351,20 +386,7 @@ func EvaluateCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach 
 	if err := p.Validate(c); err != nil {
 		return nil, fmt.Errorf("core: placement: %w", err)
 	}
-	return evaluate(ctx, c, opt, approach, p, slaveLatch(c, opt)), nil
-}
-
-// EvalOptions exposes the evaluation (sign-off) timing derivation, so the
-// engine's cache layer can re-certify restored results under exactly the
-// timing context the live pipeline used.
-func EvalOptions(c *netlist.Circuit, opt Options) sta.Options {
-	return evalOptions(c, opt)
-}
-
-// SlaveLatch exposes the slave latch cell the pipeline times Eq. (5)
-// with, for the same reason as EvalOptions.
-func SlaveLatch(c *netlist.Circuit, opt Options) cell.Latch {
-	return slaveLatch(c, opt)
+	return evaluate(ctx, c, opt, approach.String(), p, slaveLatch(c, opt)), nil
 }
 
 // SeqAreaOf recomputes the sequential-area formula for explicit counts;

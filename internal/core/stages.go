@@ -130,5 +130,5 @@ func RetimeByComponents(c *netlist.Circuit, opt Options, approach Approach) (*Re
 	if err := merged.Validate(c); err != nil {
 		return nil, fmt.Errorf("core: merged component placement: %w", err)
 	}
-	return evaluate(context.Background(), c, opt, approach, merged, slaveLatch(c, opt)), nil
+	return evaluate(context.Background(), c, opt, approach.String(), merged, slaveLatch(c, opt)), nil
 }

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -13,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"relatch/internal/cell"
 	"relatch/internal/cert"
 	"relatch/internal/core"
 	"relatch/internal/flow"
@@ -25,7 +25,11 @@ import (
 
 // entrySchemaVersion is bumped whenever the on-disk entry layout changes;
 // entries with another version are treated as misses, not errors.
-const entrySchemaVersion = 1
+const entrySchemaVersion = 2
+
+// errStaleEntry marks an entry written under another schema version:
+// absent for this build, not poisoned.
+var errStaleEntry = errors.New("cache entry from another schema version")
 
 // defaultCapacity is the in-memory LRU size when the caller passes ≤ 0.
 const defaultCapacity = 256
@@ -204,7 +208,8 @@ func (c *Cache) Get(ctx context.Context, key Key, job Job) (*Outcome, bool) {
 
 	if c.dir != "" {
 		out, err := c.Probe(ctx, key, job)
-		if err == nil {
+		switch {
+		case err == nil:
 			c.mu.Lock()
 			c.stats.DiskHits++
 			c.insertLocked(key, out)
@@ -214,8 +219,14 @@ func (c *Cache) Get(ctx context.Context, key Key, job Job) (*Outcome, bool) {
 			hit.CacheHit = true
 			hit.CacheLayer = "disk"
 			return &hit, true
-		}
-		if !os.IsNotExist(err) {
+		case ctx.Err() != nil:
+			// A restore cut short by a disconnect or shutdown proves
+			// nothing about the entry: keep the file, report a miss.
+			c.miss(sp)
+			return nil, false
+		case errors.Is(err, errStaleEntry):
+			// The recomputed result's Put overwrites it.
+		case !os.IsNotExist(err):
 			// A present-but-invalid entry is poisoned: drop the file so
 			// the recomputed result can take its place.
 			c.mu.Lock()
@@ -253,10 +264,14 @@ func (c *Cache) peerGet(ctx context.Context, sp *obs.Span, key Key, job Job) (*O
 		out, err = c.restore(ctx, key, job, e)
 	}
 	if err != nil {
-		c.mu.Lock()
-		c.stats.PeerRejected++
-		c.mu.Unlock()
-		sp.Add("peer_rejected", 1)
+		// As on disk, a cancelled restore or a blob from another schema
+		// version is no verdict on the peer.
+		if ctx.Err() == nil && !errors.Is(err, errStaleEntry) {
+			c.mu.Lock()
+			c.stats.PeerRejected++
+			c.mu.Unlock()
+			sp.Add("peer_rejected", 1)
+		}
 		return nil, false
 	}
 	c.mu.Lock()
@@ -318,7 +333,7 @@ func decodeEntry(raw []byte, key Key, job Job) (*entry, error) {
 	}
 	if e.SchemaVersion != entrySchemaVersion {
 		return nil, fmt.Errorf("engine: %w: entry %s: schema %d, want %d",
-			ErrCacheInvalid, key.Short(), e.SchemaVersion, entrySchemaVersion)
+			errStaleEntry, key.Short(), e.SchemaVersion, entrySchemaVersion)
 	}
 	if e.Key != key.String() {
 		return nil, fmt.Errorf("engine: %w: entry %s: claims key %s", ErrCacheInvalid, key.Short(), e.Key)
@@ -414,94 +429,79 @@ func (c *Cache) insertLocked(key Key, out *Outcome) int {
 
 // encodeEntry reduces an outcome to its serializable claims.
 func encodeEntry(key Key, job Job, out *Outcome) (*entry, error) {
-	e := &entry{
-		SchemaVersion: entrySchemaVersion,
-		Key:           key.String(),
-		Approach:      string(job.Approach),
-		Circuit:       job.Circuit.Name,
-	}
-	switch {
-	case out.Core != nil:
-		r := out.Core
-		e.AtInput, e.OnEdge = encodePlacement(r.Placement)
-		e.EDMasters = sortedTrueKeys(r.EDMasters)
-		e.Reclaimed = sortedTrueKeys(r.Reclaimed)
-		e.Slaves, e.Masters, e.ED = r.SlaveCount, r.MasterCount, r.EDCount
-		e.SeqArea = r.SeqArea
-		e.Objective = r.Objective
-		e.Solver = r.Solver.String()
-		e.Fallback = r.SolverFallback
-		e.FallbackReason = r.FallbackReason
-		e.SolverCertified = r.SolverCertified
-		if len(r.Classes) > 0 {
-			e.Classes = make(map[string]int, len(r.Classes))
-			for k, v := range r.Classes {
-				e.Classes[strconv.Itoa(int(k))] = v
-			}
-		}
-	case out.VLib != nil:
-		r := out.VLib
-		e.AtInput, e.OnEdge = encodePlacement(r.Placement)
-		e.EDMasters = sortedTrueKeys(r.EDMasters)
-		e.Slaves, e.Masters, e.ED = r.SlaveCount, r.MasterCount, r.EDCount
-		e.SeqArea = r.SeqArea
-		e.Relaxed, e.Swaps, e.Upsized = r.Relaxed, r.Swaps, r.Upsized
-		for _, n := range r.Circuit.Nodes {
-			orig := job.Circuit.Nodes[n.ID]
-			if n.Cell != nil && orig.Cell != nil && n.Cell.Name != orig.Cell.Name {
-				e.Resized = append(e.Resized, resize{ID: n.ID, Cell: n.Cell.Name})
-			}
-		}
-	default:
+	r := out.Core
+	if r == nil {
 		return nil, fmt.Errorf("engine: %w: outcome for %s has no result", ErrCacheInvalid, key.Short())
+	}
+	e := &entry{
+		SchemaVersion:   entrySchemaVersion,
+		Key:             key.String(),
+		Approach:        string(job.Approach),
+		Circuit:         job.Circuit.Name,
+		EDMasters:       sortedTrueKeys(r.EDMasters),
+		Reclaimed:       sortedTrueKeys(r.Reclaimed),
+		Slaves:          r.SlaveCount,
+		Masters:         r.MasterCount,
+		ED:              r.EDCount,
+		SeqArea:         r.SeqArea,
+		Objective:       r.Objective,
+		Solver:          r.Solver.String(),
+		Fallback:        r.SolverFallback,
+		FallbackReason:  r.FallbackReason,
+		SolverCertified: r.SolverCertified,
+		Relaxed:         r.Relaxed,
+		Swaps:           r.Swaps,
+		Upsized:         r.Upsized,
+	}
+	e.AtInput, e.OnEdge = encodePlacement(r.Placement)
+	if len(r.Classes) > 0 {
+		e.Classes = make(map[string]int, len(r.Classes))
+		for k, v := range r.Classes {
+			e.Classes[strconv.Itoa(int(k))] = v
+		}
+	}
+	for _, n := range r.Circuit.Nodes {
+		orig := job.Circuit.Nodes[n.ID]
+		if n.Cell != nil && orig.Cell != nil && n.Cell.Name != orig.Cell.Name {
+			e.Resized = append(e.Resized, resize{ID: n.ID, Cell: n.Cell.Name})
+		}
 	}
 	return e, nil
 }
 
 // restore rebuilds a live outcome from an entry's claims on a fresh
-// clone, re-derives everything derivable and certifies the result.
+// clone, cross-checks the claims against the re-derived result and
+// certifies it. Only the re-derivation differs by family: core results
+// are re-evaluated against ground-truth timing, virtual-library results
+// re-apply the recorded resizes and take the recorded ED set, which the
+// certifier then audits.
 func (c *Cache) restore(ctx context.Context, key Key, job Job, e *entry) (*Outcome, error) {
 	start := time.Now()
 	p, err := decodePlacement(job.Circuit, e)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{Key: key, Approach: job.Approach}
-	if job.Approach.IsVLib() {
-		if err := c.restoreVLib(ctx, job, e, p, out); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := c.restoreCore(ctx, job, e, p, out); err != nil {
-			return nil, err
-		}
-	}
-	if ferr := out.Certificate.Err(); ferr != nil {
-		return nil, fmt.Errorf("engine: cache entry %s: %w", key.Short(), ferr)
-	}
-	out.Runtime = time.Since(start)
-	return out, nil
-}
-
-// restoreCore re-evaluates a cached core placement from scratch and
-// cross-checks the entry's claims against the re-derived result.
-func (c *Cache) restoreCore(ctx context.Context, job Job, e *entry, p *netlist.Placement, out *Outcome) error {
 	clone := job.Circuit.Clone()
-	res, err := core.EvaluateCtx(ctx, clone, job.Options, job.Approach.CoreApproach(), p)
+	var res *core.Result
+	if job.Approach.IsVLib() {
+		res, err = restoreVLib(clone, job, e, p)
+	} else {
+		res, err = core.EvaluateCtx(ctx, clone, job.Options, job.Approach.CoreApproach(), p)
+	}
 	if err != nil {
-		return fmt.Errorf("engine: cache entry %s: %w", out.Key.Short(), err)
+		return nil, fmt.Errorf("engine: cache entry %s: %w", key.Short(), err)
 	}
 	if res.SlaveCount != e.Slaves || res.MasterCount != e.Masters || res.EDCount != e.ED {
-		return fmt.Errorf("engine: %w: entry %s: claims %d/%d/%d latches, re-derived %d/%d/%d",
-			ErrCacheInvalid, out.Key.Short(), e.Slaves, e.Masters, e.ED, res.SlaveCount, res.MasterCount, res.EDCount)
+		return nil, fmt.Errorf("engine: %w: entry %s: claims %d/%d/%d latches, re-derived %d/%d/%d",
+			ErrCacheInvalid, key.Short(), e.Slaves, e.Masters, e.ED, res.SlaveCount, res.MasterCount, res.EDCount)
 	}
 	if math.Abs(res.SeqArea-e.SeqArea) > claimEpsilon {
-		return fmt.Errorf("engine: %w: entry %s: claims seq area %g, re-derived %g",
-			ErrCacheInvalid, out.Key.Short(), e.SeqArea, res.SeqArea)
+		return nil, fmt.Errorf("engine: %w: entry %s: claims seq area %g, re-derived %g",
+			ErrCacheInvalid, key.Short(), e.SeqArea, res.SeqArea)
 	}
 	if !sameIDSet(res.EDMasters, e.EDMasters) {
-		return fmt.Errorf("engine: %w: entry %s: ED-master claim diverges from re-derived set",
-			ErrCacheInvalid, out.Key.Short())
+		return nil, fmt.Errorf("engine: %w: entry %s: ED-master claim diverges from re-derived set",
+			ErrCacheInvalid, key.Short())
 	}
 	res.Reclaimed = idSet(e.Reclaimed)
 	res.Objective = e.Objective
@@ -511,108 +511,45 @@ func (c *Cache) restoreCore(ctx context.Context, job Job, e *entry, p *netlist.P
 	res.SolverFallback = e.Fallback
 	res.FallbackReason = e.FallbackReason
 	res.SolverCertified = e.SolverCertified
+	res.Relaxed, res.Swaps, res.Upsized = e.Relaxed, e.Swaps, e.Upsized
 	if len(e.Classes) > 0 {
 		res.Classes = make(map[rgraph.TargetClass]int, len(e.Classes))
 		for k, v := range e.Classes {
 			n, perr := strconv.Atoi(k)
 			if perr != nil {
-				return fmt.Errorf("engine: %w: entry %s: bad class %q", ErrCacheInvalid, out.Key.Short(), k)
+				return nil, fmt.Errorf("engine: %w: entry %s: bad class %q", ErrCacheInvalid, key.Short(), k)
 			}
 			res.Classes[rgraph.TargetClass(n)] = v
 		}
 	}
-	evalOpt := core.EvalOptions(clone, job.Options)
-	crt, err := cert.Run(ctx, cert.Subject{
-		Original:    cert.Snapshot(job.Circuit),
-		Retimed:     clone,
-		Placement:   p,
-		Scheme:      job.Options.Scheme,
-		Latch:       core.SlaveLatch(clone, job.Options),
-		StaOptions:  &evalOpt,
-		EDMasters:   res.EDMasters,
-		Reclaimed:   res.Reclaimed,
-		SlaveCount:  res.SlaveCount,
-		MasterCount: res.MasterCount,
-		EDCount:     res.EDCount,
-		SeqArea:     res.SeqArea,
-		EDLCost:     job.Options.EDLCost,
-		Objective:   res.Objective,
-		Approach:    job.Approach.Display(),
-	}, cert.Config{})
-	if err != nil {
-		return fmt.Errorf("engine: cache entry %s: %w", out.Key.Short(), err)
+	if err := core.Certify(ctx, res, cert.Snapshot(job.Circuit)); err != nil {
+		return nil, fmt.Errorf("engine: cache entry %s: %w", key.Short(), err)
 	}
-	res.Certificate = crt
-	out.Core, out.Certificate = res, crt
-	return nil
+	return &Outcome{Key: key, Approach: job.Approach, Core: res, Runtime: time.Since(start)}, nil
 }
 
-// restoreVLib replays a cached virtual-library result: clone, re-apply
-// the recorded resizes, re-validate the placement, recount areas and
-// certify against the original shape.
-func (c *Cache) restoreVLib(ctx context.Context, job Job, e *entry, p *netlist.Placement, out *Outcome) error {
-	clone := job.Circuit.Clone()
-	lib := clone.Lib
+// restoreVLib re-applies a virtual-library entry's recorded resizes to
+// the clone and rebuilds the result around the entry's placement and
+// ED set.
+func restoreVLib(clone *netlist.Circuit, job Job, e *entry, p *netlist.Placement) (*core.Result, error) {
 	for _, rs := range e.Resized {
 		if rs.ID < 0 || rs.ID >= len(clone.Nodes) {
-			return fmt.Errorf("engine: %w: entry %s: resize of unknown node %d", ErrCacheInvalid, out.Key.Short(), rs.ID)
+			return nil, fmt.Errorf("%w: resize of unknown node %d", ErrCacheInvalid, rs.ID)
 		}
 		n := clone.Nodes[rs.ID]
-		cl, ok := lib.ByName(rs.Cell)
+		cl, ok := clone.Lib.ByName(rs.Cell)
 		if !ok {
-			return fmt.Errorf("engine: %w: entry %s: resize to unknown cell %q", ErrCacheInvalid, out.Key.Short(), rs.Cell)
+			return nil, fmt.Errorf("%w: resize to unknown cell %q", ErrCacheInvalid, rs.Cell)
 		}
 		if n.Cell == nil {
-			return fmt.Errorf("engine: %w: entry %s: resize of non-gate node %d", ErrCacheInvalid, out.Key.Short(), rs.ID)
+			return nil, fmt.Errorf("%w: resize of non-gate node %d", ErrCacheInvalid, rs.ID)
 		}
 		n.Cell = cl
 	}
 	if err := p.Validate(clone); err != nil {
-		return fmt.Errorf("engine: cache entry %s: %w", out.Key.Short(), err)
+		return nil, err
 	}
-	ed := idSet(e.EDMasters)
-	res := &vlib.Result{
-		Variant:     job.Approach.Variant(),
-		Circuit:     clone,
-		Placement:   p,
-		EDMasters:   ed,
-		SlaveCount:  p.SlaveCount(),
-		MasterCount: clone.FlopCount(),
-		EDCount:     len(ed),
-		Relaxed:     e.Relaxed,
-		Swaps:       e.Swaps,
-		Upsized:     e.Upsized,
-	}
-	if res.SlaveCount != e.Slaves || res.MasterCount != e.Masters || res.EDCount != e.ED {
-		return fmt.Errorf("engine: %w: entry %s: claims %d/%d/%d latches, re-derived %d/%d/%d",
-			ErrCacheInvalid, out.Key.Short(), e.Slaves, e.Masters, e.ED, res.SlaveCount, res.MasterCount, res.EDCount)
-	}
-	res.SeqArea = cell.SeqAreaOf(lib, job.Options.EDLCost, res.SlaveCount, res.MasterCount, res.EDCount)
-	if math.Abs(res.SeqArea-e.SeqArea) > claimEpsilon {
-		return fmt.Errorf("engine: %w: entry %s: claims seq area %g, re-derived %g",
-			ErrCacheInvalid, out.Key.Short(), e.SeqArea, res.SeqArea)
-	}
-	res.CombArea = clone.CombArea()
-	res.TotalArea = res.SeqArea + res.CombArea
-	crt, err := cert.Run(ctx, cert.Subject{
-		Original:    cert.Snapshot(job.Circuit),
-		Retimed:     clone,
-		Placement:   p,
-		Scheme:      job.Options.Scheme,
-		Latch:       lib.BaseLatch,
-		EDMasters:   res.EDMasters,
-		SlaveCount:  res.SlaveCount,
-		MasterCount: res.MasterCount,
-		EDCount:     res.EDCount,
-		SeqArea:     res.SeqArea,
-		EDLCost:     job.Options.EDLCost,
-		Approach:    job.Approach.Display(),
-	}, cert.Config{AllowResizing: true, EDSuperset: !job.PostSwap})
-	if err != nil {
-		return fmt.Errorf("engine: cache entry %s: %w", out.Key.Short(), err)
-	}
-	out.VLib, out.Certificate = res, crt
-	return nil
+	return vlib.NewResult(clone, job.vlibOptions(), job.Approach.Variant(), p, idSet(e.EDMasters)), nil
 }
 
 // encodePlacement flattens a placement into sorted ID/edge lists.

@@ -87,6 +87,13 @@ func TestDiskRoundtripAcrossEngines(t *testing.T) {
 			if stripVolatile(warm.Summary()) != stripVolatile(cold.Summary()) {
 				t.Errorf("disk restore changed the result:\n cold %+v\n warm %+v", cold.Summary(), warm.Summary())
 			}
+			// Solve provenance survives the restore for every family.
+			if w, c := warm.Summary(), cold.Summary(); w.Solver != "simplex" || w.Solver != c.Solver || w.Fallback != c.Fallback {
+				t.Errorf("restored solver %q fallback %v, solved with %q fallback %v", w.Solver, w.Fallback, c.Solver, c.Fallback)
+			}
+			if warm.Core.SolverCertified != cold.Core.SolverCertified {
+				t.Errorf("restored solver certification %v, solved %v", warm.Core.SolverCertified, cold.Core.SolverCertified)
+			}
 			if st := eng2.Stats().Cache; st.DiskHits != 1 || st.Poisoned != 0 {
 				t.Errorf("cache stats = %+v", st)
 			}
@@ -130,6 +137,102 @@ func TestPoisonedEntryRecomputedNotServed(t *testing.T) {
 	// The recompute re-published a valid entry over the torn one.
 	if _, err := cache.Probe(context.Background(), key, job); err != nil {
 		t.Errorf("entry still bad after recompute: %v", err)
+	}
+}
+
+// TestCancelledGetIsNotPoisoning: a lookup whose caller has gone away
+// (a disconnected degraded-mode client, a shutdown mid-restore) fails
+// its restore on the context, which says nothing about the entry. It
+// must neither count the entry as poisoned nor delete it, on disk or
+// from a peer.
+func TestCancelledGetIsNotPoisoning(t *testing.T) {
+	dir := t.TempDir()
+	job := testJob(t, GRAR)
+	key := mustKey(t, job)
+	eng := New(Config{Workers: 1, Cache: mustCache(t, 8, dir)})
+	if _, err := eng.Do(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cache := mustCache(t, 8, dir)
+	if _, ok := cache.Get(cancelled, key, job); ok {
+		t.Fatal("cancelled Get served an outcome")
+	}
+	if _, err := os.Stat(cache.EntryPath(key)); err != nil {
+		t.Fatalf("cancelled Get removed the entry: %v", err)
+	}
+	if st := cache.Stats(); st.Poisoned != 0 {
+		t.Errorf("cancelled Get counted poisoning: %+v", st)
+	}
+	if out, ok := cache.Get(context.Background(), key, job); !ok || out.CacheLayer != "disk" {
+		t.Errorf("next Get: ok=%v, want a disk hit", ok)
+	}
+
+	raw, err := os.ReadFile(cache.EntryPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peered := mustCache(t, 8, "")
+	peered.SetPeer(func(context.Context, string) ([]byte, error) { return raw, nil })
+	if _, ok := peered.Get(cancelled, key, job); ok {
+		t.Fatal("cancelled Get served a peer outcome")
+	}
+	if st := peered.Stats(); st.PeerRejected != 0 {
+		t.Errorf("cancelled Get rejected the peer blob: %+v", st)
+	}
+	if out, ok := peered.Get(context.Background(), key, job); !ok || out.CacheLayer != "peer" {
+		t.Errorf("next Get: ok=%v, want a peer hit", ok)
+	}
+}
+
+// TestStaleSchemaIsAMiss: an entry written under another schema version
+// (a cache dir kept across an upgrade) is absent for this build, not
+// poisoned — counting it would flip /readyz on every upgrade.
+func TestStaleSchemaIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	job := testJob(t, GRAR)
+	key := mustKey(t, job)
+	eng1 := New(Config{Workers: 1, Cache: mustCache(t, 8, dir)})
+	if _, err := eng1.Do(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	eng1.Close()
+
+	cache := mustCache(t, 8, dir)
+	raw, err := os.ReadFile(cache.EntryPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]interface{}
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatal(err)
+	}
+	e["schema_version"] = entrySchemaVersion - 1
+	if raw, err = json.Marshal(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cache.EntryPath(key), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	eng2 := New(Config{Workers: 1, Cache: cache})
+	defer eng2.Close()
+	out, err := eng2.Do(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.CacheHit {
+		t.Error("stale entry was served")
+	}
+	if st := cache.Stats(); st.Poisoned != 0 || st.Misses != 1 {
+		t.Errorf("cache stats = %+v, want one plain miss", st)
+	}
+	// The recompute overwrote the stale entry.
+	if _, err := cache.Probe(context.Background(), key, job); err != nil {
+		t.Errorf("entry not refreshed: %v", err)
 	}
 }
 

@@ -212,7 +212,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 	if !out.CacheHit || out.CacheLayer != "peer" {
 		t.Fatalf("outcome hit=%v layer=%q, want a peer-tier hit", out.CacheHit, out.CacheLayer)
 	}
-	if err := out.Certificate.Err(); err != nil {
+	if err := out.Core.Certificate.Err(); err != nil {
 		t.Fatalf("peer-restored outcome not certified: %v", err)
 	}
 	st := other.st.eng.Stats().Cache
@@ -274,7 +274,7 @@ func TestClusterRejectsPoisonedPeer(t *testing.T) {
 	if out.CacheHit {
 		t.Fatalf("tampered peer entry was served as a cache hit (layer %q)", out.CacheLayer)
 	}
-	if err := out.Certificate.Err(); err != nil {
+	if err := out.Core.Certificate.Err(); err != nil {
 		t.Fatalf("locally recomputed outcome not certified: %v", err)
 	}
 	st := other.st.eng.Stats().Cache

@@ -248,7 +248,7 @@ func (d *Durable) process(j queue.Job) {
 		sp.Fail(err)
 	case err != nil:
 		d.settleFail(sp, j, err)
-	case out.Certificate == nil || !out.Certificate.Certified():
+	case !out.Summary().Certified:
 		d.settleFail(sp, j, fmt.Errorf("engine: job %s produced an uncertified result", j.ID))
 	default:
 		res, merr := json.Marshal(durableResult{

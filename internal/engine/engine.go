@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"relatch/internal/cert"
 	"relatch/internal/core"
 	"relatch/internal/obs"
 	"relatch/internal/vlib"
@@ -37,20 +36,15 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Outcome is a completed job: exactly one of Core/VLib is set, according
-// to the job's approach.
+// Outcome is a completed job.
 type Outcome struct {
 	Key      Key
 	Approach Approach
 
+	// Core is the retiming result of whichever family the approach runs.
+	// Every outcome — solved, restored or shared — carries the
+	// certificate of the gate it passed in Core.Certificate.
 	Core *core.Result
-	VLib *vlib.Result
-
-	// Certificate is the independent output certification. Core results
-	// carry the one attached by core.RetimeCtx's post-solve gate; for
-	// virtual-library results the engine runs the same check itself, so
-	// every outcome — solved, restored or shared — is certified.
-	Certificate *cert.Certificate
 
 	// CacheHit reports the outcome was restored rather than solved;
 	// CacheLayer says from where ("memory", "disk" or "peer"). Shared
@@ -86,28 +80,20 @@ type Summary struct {
 func (o *Outcome) Summary() Summary {
 	s := Summary{
 		Approach:   o.Approach.Display(),
-		Certified:  o.Certificate != nil && o.Certificate.Certified(),
 		CacheHit:   o.CacheHit,
 		CacheLayer: o.CacheLayer,
 	}
-	switch {
-	case o.Core != nil:
-		s.Circuit = o.Core.Circuit.Name
-		s.Slaves = o.Core.SlaveCount
-		s.Masters = o.Core.MasterCount
-		s.ED = o.Core.EDCount
-		s.SeqArea = o.Core.SeqArea
-		s.TotalArea = o.Core.TotalArea
-		s.Solver = o.Core.Solver.String()
-		s.Fallback = o.Core.SolverFallback
-		s.Violations = len(o.Core.Violations)
-	case o.VLib != nil:
-		s.Circuit = o.VLib.Circuit.Name
-		s.Slaves = o.VLib.SlaveCount
-		s.Masters = o.VLib.MasterCount
-		s.ED = o.VLib.EDCount
-		s.SeqArea = o.VLib.SeqArea
-		s.TotalArea = o.VLib.TotalArea
+	if r := o.Core; r != nil {
+		s.Circuit = r.Circuit.Name
+		s.Slaves = r.SlaveCount
+		s.Masters = r.MasterCount
+		s.ED = r.EDCount
+		s.SeqArea = r.SeqArea
+		s.TotalArea = r.TotalArea
+		s.Solver = r.Solver.String()
+		s.Fallback = r.SolverFallback
+		s.Certified = r.Certificate != nil && r.Certificate.Certified()
+		s.Violations = len(r.Violations)
 	}
 	return s
 }
@@ -241,12 +227,10 @@ type Engine struct {
 	hTotal     *obs.Histogram
 
 	mu       sync.Mutex
-	inflight map[Key]*call      // guarded by mu
-	tickets  map[string]*Ticket // guarded by mu
-	order    []string           // guarded by mu
-	nextID   int                // guarded by mu
-	stats    Stats              // guarded by mu
-	closed   bool               // guarded by mu
+	inflight map[Key]*call // guarded by mu
+	nextID   int           // guarded by mu
+	stats    Stats         // guarded by mu
+	closed   bool          // guarded by mu
 }
 
 // New builds an engine. The caller owns its lifecycle and must Close it.
@@ -261,7 +245,6 @@ func New(cfg Config) *Engine {
 		cancel:     cancel,
 		sem:        make(chan struct{}, cfg.Workers),
 		inflight:   make(map[Key]*call),
-		tickets:    make(map[string]*Ticket),
 		hQueueWait: cfg.Metrics.Histogram(`relatch_job_stage_seconds{stage="queue_wait"}`),
 		hSolve:     cfg.Metrics.Histogram(`relatch_job_stage_seconds{stage="solve"}`),
 		hCertify:   cfg.Metrics.Histogram(`relatch_job_stage_seconds{stage="certify"}`),
@@ -319,25 +302,6 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Get looks a ticket up by ID.
-func (e *Engine) Get(id string) (*Ticket, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t, ok := e.tickets[id]
-	return t, ok
-}
-
-// Tickets lists every ticket in submission order.
-func (e *Engine) Tickets() []*Ticket {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*Ticket, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.tickets[id])
-	}
-	return out
-}
-
 // Submit schedules a job and returns its ticket immediately. The job
 // runs under a context derived from ctx (so tracers and values flow in,
 // and cancelling ctx cancels the job) that is also cut when the engine
@@ -364,8 +328,6 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	e.tickets[t.ID] = t
-	e.order = append(e.order, t.ID)
 	e.stats.Submitted++
 	e.wg.Add(1)
 	e.mu.Unlock()
@@ -514,59 +476,20 @@ func (e *Engine) solve(ctx context.Context, job Job, key Key) (out *Outcome, err
 		}()
 		return e.cfg.SolveOverride(ctx, job)
 	}
-	out = &Outcome{Key: key, Approach: job.Approach}
+	var res *core.Result
 	if job.Approach.IsVLib() {
-		shape := cert.Snapshot(job.Circuit)
-		res, verr := vlib.RetimeCtx(ctx, job.Circuit, vlib.Options{
-			Scheme:        job.Options.Scheme,
-			EDLCost:       job.Options.EDLCost,
-			Method:        job.Options.Method,
-			PostSwap:      job.PostSwap,
-			MaxSizingIter: job.MaxSizingIter,
-		}, job.Approach.Variant())
-		if verr != nil {
-			return nil, verr
-		}
-		solveDur := time.Since(start)
-		// The incremental compile resizes gates but never changes logic
-		// functions, hence AllowResizing; without the post-swap the flow
-		// may deliberately leave extra ED latches, hence EDSuperset.
-		crt, cerr := cert.Run(ctx, cert.Subject{
-			Original:    shape,
-			Retimed:     res.Circuit,
-			Placement:   res.Placement,
-			Scheme:      job.Options.Scheme,
-			Latch:       res.Circuit.Lib.BaseLatch,
-			EDMasters:   res.EDMasters,
-			SlaveCount:  res.SlaveCount,
-			MasterCount: res.MasterCount,
-			EDCount:     res.EDCount,
-			SeqArea:     res.SeqArea,
-			EDLCost:     job.Options.EDLCost,
-			Approach:    job.Approach.Display(),
-		}, cert.Config{AllowResizing: true, EDSuperset: !job.PostSwap})
-		if cerr != nil {
-			return nil, fmt.Errorf("engine: certifying %s: %w", key.Short(), cerr)
-		}
-		out.VLib, out.Certificate = res, crt
-		if ferr := crt.Err(); ferr != nil {
-			return nil, fmt.Errorf("engine: %s: %w", key.Short(), ferr)
-		}
-		e.hSolve.Observe(solveDur)
-		e.hCertify.Observe(time.Since(start) - solveDur)
+		res, err = vlib.RetimeCtx(ctx, job.Circuit, job.vlibOptions(), job.Approach.Variant())
 	} else {
-		res, rerr := core.RetimeCtx(ctx, job.Circuit.Clone(), job.Options, job.Approach.CoreApproach())
-		if rerr != nil {
-			// core's post-solve gate attaches the certificate even when
-			// it fails; the outcome is unusable either way.
-			return nil, rerr
-		}
-		out.Core, out.Certificate = res, res.Certificate
-		e.hCertify.Observe(res.CertifyTime)
-		e.hSolve.Observe(res.Runtime - res.CertifyTime)
+		res, err = core.RetimeCtx(ctx, job.Circuit.Clone(), job.Options, job.Approach.CoreApproach())
 	}
-	out.Runtime = time.Since(start)
-	return out, nil
+	if err != nil {
+		// The post-solve gate attaches the certificate even when it
+		// fails; the outcome is unusable either way.
+		return nil, err
+	}
+	e.hCertify.Observe(res.CertifyTime)
+	e.hSolve.Observe(res.Runtime - res.CertifyTime)
+	return &Outcome{Key: key, Approach: job.Approach, Core: res, Runtime: time.Since(start)}, nil
 }
 
 // IsClosed reports whether err stems from the engine shutting down or a

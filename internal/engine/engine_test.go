@@ -2,10 +2,13 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"relatch/internal/flow"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -169,8 +172,36 @@ func TestSubmitRejectsBadJobs(t *testing.T) {
 	if _, err := eng.Submit(context.Background(), Job{Approach: GRAR}); err == nil {
 		t.Error("nil-circuit job accepted")
 	}
-	if _, ok := eng.Get("job-000001"); ok {
-		t.Error("rejected job left a ticket behind")
+	if st := eng.Stats(); st.Submitted != 0 {
+		t.Errorf("rejected job counted as submitted: %+v", st)
+	}
+}
+
+// TestEngineKeepsNoFinishedOutcomes pins the engine's memory bound under
+// a long-running server: a finished job's outcome — retimed circuit,
+// placement, certificate — must be collectable once the caller drops it,
+// so nothing in an engine without a cache may keep a reference.
+func TestEngineKeepsNoFinishedOutcomes(t *testing.T) {
+	eng := New(Config{Workers: 1})
+	defer eng.Close()
+	collected := make(chan struct{})
+	func() {
+		out, err := eng.Do(context.Background(), testJob(t, GRAR))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(out, func(*Outcome) { close(collected) })
+	}()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("the engine still references a finished job's outcome")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 
@@ -221,28 +252,38 @@ func TestStressManyJobsFewKeys(t *testing.T) {
 	if st.Deduplicated+st.Cache.Hits != jobs-keys {
 		t.Errorf("dedup %d + cache hits %d ≠ %d duplicates", st.Deduplicated, st.Cache.Hits, jobs-keys)
 	}
-	if len(eng.Tickets()) != jobs {
-		t.Errorf("ticket ledger has %d entries, want %d", len(eng.Tickets()), jobs)
-	}
 }
 
 func TestSolveAllApproaches(t *testing.T) {
 	eng := New(Config{Workers: 2})
 	defer eng.Close()
+	// Every family reports the solver behind its accepted retiming: the
+	// default simplex, or SSP on request.
+	methods := []struct {
+		method flow.Method
+		want   string
+	}{{flow.MethodAuto, "simplex"}, {flow.MethodSSP, "ssp"}}
 	for _, ap := range []Approach{GRAR, Base, NVL, EVL, RVL} {
-		out, err := eng.Do(context.Background(), testJob(t, ap))
-		if err != nil {
-			t.Fatalf("%s: %v", ap, err)
-		}
-		sum := out.Summary()
-		if !sum.Certified {
-			t.Errorf("%s: outcome not certified", ap)
-		}
-		if sum.Slaves <= 0 || sum.TotalArea <= 0 {
-			t.Errorf("%s: degenerate summary %+v", ap, sum)
-		}
-		if ap.IsVLib() == (out.Core != nil) || ap.IsVLib() != (out.VLib != nil) {
-			t.Errorf("%s: wrong result kind", ap)
+		for _, m := range methods {
+			job := testJob(t, ap)
+			job.Options.Method = m.method
+			out, err := eng.Do(context.Background(), job)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", ap, m.method, err)
+			}
+			sum := out.Summary()
+			if !sum.Certified {
+				t.Errorf("%s/%v: outcome not certified", ap, m.method)
+			}
+			if sum.Slaves <= 0 || sum.TotalArea <= 0 {
+				t.Errorf("%s/%v: degenerate summary %+v", ap, m.method, sum)
+			}
+			if out.Core == nil || out.Core.Approach != ap.Display() {
+				t.Errorf("%s/%v: outcome carries no %s result", ap, m.method, ap.Display())
+			}
+			if sum.Solver != m.want || sum.Fallback {
+				t.Errorf("%s/%v: solver %q fallback %v, want %s without fallback", ap, m.method, sum.Solver, sum.Fallback, m.want)
+			}
 		}
 	}
 }

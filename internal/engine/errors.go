@@ -20,8 +20,8 @@ var (
 	// ErrBadConfig: a constructor was handed an unusable configuration
 	// (missing engine/queue/durable layer).
 	ErrBadConfig = errors.New("invalid engine config")
-	// ErrCacheInvalid: a disk cache entry failed validation — schema or
-	// key mismatch, claims diverging from re-derived results, references
+	// ErrCacheInvalid: a disk cache entry failed validation — key or
+	// approach mismatch, claims diverging from re-derived results, references
 	// to unknown nodes/cells. The cache layer treats it as poison and
 	// recomputes; it never silently trusts such an entry.
 	ErrCacheInvalid = errors.New("cache entry invalid")

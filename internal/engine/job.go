@@ -115,6 +115,17 @@ type Job struct {
 	Timeout time.Duration
 }
 
+// vlibOptions returns the virtual-library flow options of the job.
+func (j Job) vlibOptions() vlib.Options {
+	return vlib.Options{
+		Scheme:        j.Options.Scheme,
+		EDLCost:       j.Options.EDLCost,
+		Method:        j.Options.Method,
+		PostSwap:      j.PostSwap,
+		MaxSizingIter: j.MaxSizingIter,
+	}
+}
+
 // Key is the SHA-256 content address of a canonicalized job.
 type Key [sha256.Size]byte
 

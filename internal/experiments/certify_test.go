@@ -6,7 +6,6 @@ import (
 
 	"relatch/internal/bench"
 	"relatch/internal/cell"
-	"relatch/internal/cert"
 	"relatch/internal/core"
 	"relatch/internal/vlib"
 )
@@ -38,52 +37,30 @@ func TestCertifyAllApproaches(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Core approaches certify inside RetimeCtx: the post-solve
-			// gate fails the call itself when findings surface.
+			// Every approach certifies inside its RetimeCtx: the post-solve
+			// gate fails the call itself when findings surface, and the
+			// certificate rides on the result.
+			check := func(name string, res *core.Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Certificate == nil {
+					t.Fatalf("%s: result carries no certificate", name)
+				}
+				if !res.Certificate.Certified() {
+					t.Fatalf("%s: not certified: %v", name, res.Certificate.Findings)
+				}
+			}
 			copt := core.Options{Scheme: scheme, EDLCost: overhead}
 			for _, ap := range []core.Approach{core.ApproachGRAR, core.ApproachBase} {
 				res, err := core.RetimeCtx(ctx, c, copt, ap)
-				if err != nil {
-					t.Fatalf("%v: %v", ap, err)
-				}
-				if res.Certificate == nil {
-					t.Fatalf("%v: result carries no certificate", ap)
-				}
-				if !res.Certificate.Certified() {
-					t.Fatalf("%v: not certified: %v", ap, res.Certificate.Findings)
-				}
+				check(ap.String(), res, err)
 			}
-
-			// Virtual-library variants certify externally, the way rar
-			// -certify does: snapshot before, compare by logic function
-			// after (the incremental compile reassigns drive strengths).
-			shape := cert.Snapshot(c)
 			vopt := vlib.Options{Scheme: scheme, EDLCost: overhead, PostSwap: true}
 			for _, v := range []vlib.Variant{vlib.NVL, vlib.EVL, vlib.RVL} {
 				res, err := vlib.RetimeCtx(ctx, c, vopt, v)
-				if err != nil {
-					t.Fatalf("%v: %v", v, err)
-				}
-				crt, err := cert.Run(ctx, cert.Subject{
-					Original:    shape,
-					Retimed:     res.Circuit,
-					Placement:   res.Placement,
-					Scheme:      scheme,
-					Latch:       res.Circuit.Lib.BaseLatch,
-					EDMasters:   res.EDMasters,
-					SlaveCount:  res.SlaveCount,
-					MasterCount: res.MasterCount,
-					EDCount:     res.EDCount,
-					SeqArea:     res.SeqArea,
-					EDLCost:     overhead,
-					Approach:    v.String(),
-				}, cert.Config{AllowResizing: true})
-				if err != nil {
-					t.Fatalf("%v: cert.Run: %v", v, err)
-				}
-				if !crt.Certified() {
-					t.Fatalf("%v: not certified: %v", v, crt.Findings)
-				}
+				check(v.String(), res, err)
 			}
 		})
 	}

@@ -93,7 +93,7 @@ type OverheadRun struct {
 	GRARPath *core.Result
 	GRARGate *core.Result
 
-	NVL, EVL, RVL *vlib.Result
+	NVL, EVL, RVL *core.Result
 	Movable       *vlib.MovableResult
 
 	// GReclaim is the sizing-reclaim ablation (Section VI-D's closing
@@ -246,9 +246,9 @@ func retimeJobs(ctx context.Context, eng *engine.Engine, c *netlist.Circuit, sch
 	or.Base = outs[0].Core
 	or.GRARPath = outs[1].Core
 	or.GRARGate = outs[2].Core
-	or.NVL = outs[3].VLib
-	or.EVL = outs[4].VLib
-	or.RVL = outs[5].VLib
+	or.NVL = outs[3].Core
+	or.EVL = outs[4].Core
+	or.RVL = outs[5].Core
 	return nil
 }
 

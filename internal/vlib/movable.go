@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"relatch/internal/clocking"
+	"relatch/internal/core"
 	"relatch/internal/netlist"
 	"relatch/internal/sta"
 )
@@ -16,8 +17,8 @@ import (
 // transforms on the sequential design before cutting, the way the
 // commercial flow is free to do when the constraint is dropped.
 type MovableResult struct {
-	Fixed   *Result
-	Movable *Result
+	Fixed   *core.Result
+	Movable *core.Result
 	// Moves is the number of accepted master moves; Tried counts all
 	// candidates examined.
 	Moves int

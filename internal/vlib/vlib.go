@@ -25,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"relatch/internal/cert"
 	"relatch/internal/clocking"
 	"relatch/internal/core"
 	"relatch/internal/flow"
@@ -72,32 +73,6 @@ type Options struct {
 	MaxSizingIter int
 }
 
-// Result is a completed virtual-library retiming run.
-type Result struct {
-	Variant   Variant
-	Circuit   *netlist.Circuit // the sized clone the flow worked on
-	Placement *netlist.Placement
-	EDMasters map[int]bool
-
-	SlaveCount  int
-	MasterCount int
-	EDCount     int
-
-	SeqArea   float64
-	CombArea  float64
-	TotalArea float64
-
-	// Relaxed counts endpoints the flow had to flip to error-detecting
-	// to make its type assignment feasible before retiming.
-	Relaxed int
-	// Swaps counts post-retiming latch-type changes.
-	Swaps int
-	// Upsized counts gates the incremental compile strengthened.
-	Upsized int
-
-	Runtime time.Duration
-}
-
 // initialTypes assigns master types per the variant (Section VI-C).
 func initialTypes(c *netlist.Circuit, tm *sta.Timing, s clocking.Scheme, v Variant) map[int]bool {
 	ed := make(map[int]bool)
@@ -119,13 +94,16 @@ func initialTypes(c *netlist.Circuit, tm *sta.Timing, s clocking.Scheme, v Varia
 // Retime runs the virtual-library flow. The input circuit is cloned; the
 // clone (possibly resized by the incremental compile) is returned in the
 // result.
-func Retime(cin *netlist.Circuit, opt Options, variant Variant) (*Result, error) {
+func Retime(cin *netlist.Circuit, opt Options, variant Variant) (*core.Result, error) {
 	return RetimeCtx(context.Background(), cin, opt, variant)
 }
 
 // RetimeCtx is Retime under a context: the repeated flow solves of the
-// relax-and-retry loop observe cancellation and deadline expiry.
-func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant Variant) (res *Result, err error) {
+// relax-and-retry loop observe cancellation and deadline expiry. Like
+// core.RetimeCtx it ends in the post-solve certification gate, and
+// returns the result alongside a gate error so callers can render the
+// findings.
+func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant Variant) (res *core.Result, err error) {
 	start := time.Now()
 	var attempts int64
 	if cin == nil {
@@ -148,13 +126,16 @@ func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant V
 		sp.End()
 	}()
 	c := cin.Clone()
+	// Snapshot the cloud before the flow sizes it: the post-solve gate
+	// compares the circuit that comes back against this fingerprint.
+	shape := cert.Snapshot(c)
 	lib := c.Lib
 	staOpt := sta.DefaultOptions(lib)
 	tool := synth.New(c, staOpt)
 	latch := lib.BaseLatch
 
 	ed := initialTypes(c, tool.Timing(), opt.Scheme, variant)
-	res = &Result{Variant: variant, Circuit: c}
+	relaxed := 0
 
 	// The tool retimes for minimum latch count under the type-derived
 	// max-delay constraints; infeasible type assignments are repaired by
@@ -186,19 +167,18 @@ func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant V
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("vlib: %v: %w", variant, err)
 		}
-		relaxed := relaxWorst(c, tool.Timing(), opt.Scheme, ed)
-		if relaxed == 0 || attempt > len(c.Outputs) {
+		flipped := relaxWorst(c, tool.Timing(), opt.Scheme, ed)
+		if flipped == 0 || attempt > len(c.Outputs) {
 			return nil, fmt.Errorf("vlib: %v: retiming infeasible even fully error-detecting: %w", variant, err)
 		}
-		res.Relaxed += relaxed
+		relaxed += flipped
 	}
 	p := sol.Placement
 
 	// Post-retiming swap: align types with measured latch-aware timing.
+	swaps := 0
 	if opt.PostSwap {
-		newED, swaps := synth.LatchTypeSwap(tool.Timing(), p, opt.Scheme, latch, ed)
-		ed = newED
-		res.Swaps = swaps
+		ed, swaps = synth.LatchTypeSwap(tool.Timing(), p, opt.Scheme, latch, ed)
 	} else {
 		// Without the swap the decoupled flow keeps its pre-retiming
 		// types, but genuine violations must still be repaired upward
@@ -208,33 +188,57 @@ func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant V
 		for _, o := range c.Outputs {
 			if !ed[o.ID] && la.MustBeED(o) {
 				ed[o.ID] = true
-				res.Relaxed++
+				relaxed++
 			}
 		}
 	}
 
 	// Size-only incremental compile against the final required times.
 	comp := tool.FixViolations(p, opt.Scheme, latch, ed)
-	res.Upsized = comp.Upsized
 
 	// After sizing, re-settle types against ground truth once more when
 	// swapping is enabled (sizing can only have improved arrivals).
 	if opt.PostSwap {
-		newED, swaps := synth.LatchTypeSwap(tool.Timing(), p, opt.Scheme, latch, ed)
-		res.Swaps += swaps
+		newED, more := synth.LatchTypeSwap(tool.Timing(), p, opt.Scheme, latch, ed)
+		swaps += more
 		ed = newED
 	}
 
-	res.Placement = p
-	res.EDMasters = ed
-	res.SlaveCount = p.SlaveCount()
-	res.MasterCount = c.FlopCount()
-	res.EDCount = len(filterTrue(ed))
-	res.SeqArea = core.SeqAreaOf(lib, opt.EDLCost, res.SlaveCount, res.MasterCount, res.EDCount)
-	res.CombArea = c.CombArea()
-	res.TotalArea = res.SeqArea + res.CombArea
+	res = NewResult(c, opt, variant, p, ed)
+	res.RecordSolve(sol)
+	res.Relaxed, res.Swaps, res.Upsized = relaxed, swaps, comp.Upsized
+	res.Trace = obs.FromContext(ctx).Report()
+	err = core.Certify(ctx, res, shape)
 	res.Runtime = time.Since(start)
+	if err != nil {
+		return res, fmt.Errorf("vlib: %v: post-solve %w", variant, err)
+	}
 	return res, nil
+}
+
+// NewResult assembles the result of a virtual-library run from the
+// circuit the flow finished on, its slave placement and its
+// error-detecting set: the latch counts, the areas, and the terms the
+// family is certified under. The incremental compile resizes gates but
+// never changes logic functions, hence AllowResizing; without the
+// post-swap the flow may deliberately leave extra ED latches, hence
+// EDSuperset. RetimeCtx and the engine's cache restore both build their
+// results here.
+func NewResult(c *netlist.Circuit, opt Options, variant Variant, p *netlist.Placement, ed map[int]bool) *core.Result {
+	res := &core.Result{
+		Circuit:     c,
+		Approach:    variant.String(),
+		Options:     core.Options{Scheme: opt.Scheme, EDLCost: opt.EDLCost, Method: opt.Method},
+		Placement:   p,
+		EDMasters:   ed,
+		SlaveCount:  p.SlaveCount(),
+		MasterCount: c.FlopCount(),
+		EDCount:     len(filterTrue(ed)),
+		CertConfig:  cert.Config{AllowResizing: true, EDSuperset: !opt.PostSwap},
+	}
+	res.SeqArea = core.SeqAreaOf(c.Lib, opt.EDLCost, res.SlaveCount, res.MasterCount, res.EDCount)
+	res.TotalArea = res.SeqArea + c.CombArea()
+	return res
 }
 
 // relaxWorst flips the non-ED endpoint with the worst unlatched arrival
