@@ -187,51 +187,65 @@ loadgen-smoke:
 # job, SIGKILL the server before it can be polled, restart on the same
 # -queue-dir, and require the journaled job to be recovered and driven
 # to a certified result. Exercises the write-ahead journal, the stale
-# pid-lock steal, and the restart pump end to end over real HTTP.
+# pid-lock steal, and the restart pump end to end over real HTTP. The
+# server runs without -cache-dir, so its results live in the implied
+# <queue-dir>/cache: the smoke requires the job's entry there, deletes
+# it, restarts once more, and requires the done job to be re-run to a
+# certified result rather than answered from anywhere else.
 QSMOKEADDR ?= 127.0.0.1:18427
 queue-crash-smoke:
 	$(GO) build -o build/rar ./cmd/rar
 	@set -e; \
 	qdir=$$(mktemp -d); pid=; \
 	trap 'kill -9 $$pid 2>/dev/null || true; rm -rf $$qdir' EXIT; \
-	./build/rar -serve $(QSMOKEADDR) -j 2 -queue-dir $$qdir & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-		if curl -fsS http://$(QSMOKEADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
-		sleep 0.2; \
-	done; \
-	test $$up = 1 || { echo "queue-crash-smoke: server never came up"; exit 1; }; \
+	start() { \
+		./build/rar -serve $(QSMOKEADDR) -j 2 -queue-dir $$qdir & pid=$$!; \
+		up=0; for i in $$(seq 1 50); do \
+			if curl -fsS http://$(QSMOKEADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
+			sleep 0.2; \
+		done; \
+		test $$up = 1 || { echo "queue-crash-smoke: server never came up"; exit 1; }; \
+	}; \
+	settle() { \
+		out=; for i in $$(seq 1 150); do \
+			out=$$(curl -fsS http://$(QSMOKEADDR)/jobs/$$id); \
+			case "$$out" in \
+				*'"status":"done"'*) break;; \
+				*'"status":"dead"'*) echo "$$out"; exit 1;; \
+			esac; \
+			sleep 0.2; \
+		done; \
+		echo "$$out"; \
+		case "$$out" in \
+			*'"status":"done"'*) ;; \
+			*) echo "queue-crash-smoke: job never settled after restart"; exit 1;; \
+		esac; \
+		case "$$out" in \
+			*'"certified":true'*) ;; \
+			*) echo "queue-crash-smoke: recovered job lacks a clean certificate"; exit 1;; \
+		esac; \
+	}; \
+	start; \
 	resp=$$(curl -fsS -X POST http://$(QSMOKEADDR)/jobs \
 		-d '{"bench":"s1423","approach":"grar","c":1.0}'); \
 	echo "$$resp"; \
 	id=$$(printf '%s' "$$resp" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p'); \
+	key=$$(printf '%s' "$$resp" | sed -n 's/.*"key":"\([^"]*\)".*/\1/p'); \
 	test -n "$$id" || { echo "queue-crash-smoke: no job id in response"; exit 1; }; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
 	echo "queue-crash-smoke: killed pid $$pid, restarting on $$qdir"; \
-	./build/rar -serve $(QSMOKEADDR) -j 2 -queue-dir $$qdir & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-		if curl -fsS http://$(QSMOKEADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
-		sleep 0.2; \
-	done; \
-	test $$up = 1 || { echo "queue-crash-smoke: server never came back"; exit 1; }; \
-	out=; for i in $$(seq 1 150); do \
-		out=$$(curl -fsS http://$(QSMOKEADDR)/jobs/$$id); \
-		case "$$out" in \
-			*'"status":"done"'*) break;; \
-			*'"status":"dead"'*) echo "$$out"; exit 1;; \
-		esac; \
-		sleep 0.2; \
-	done; \
-	echo "$$out"; \
-	case "$$out" in \
-		*'"status":"done"'*) ;; \
-		*) echo "queue-crash-smoke: job never settled after restart"; exit 1;; \
-	esac; \
-	case "$$out" in \
-		*'"certified":true'*) ;; \
-		*) echo "queue-crash-smoke: recovered job lacks a clean certificate"; exit 1;; \
-	esac; \
+	start; \
+	settle; \
 	curl -fsS http://$(QSMOKEADDR)/readyz >/dev/null \
 		|| { echo "queue-crash-smoke: restarted server not ready"; exit 1; }; \
+	entry=$$qdir/cache/$$key.json; \
+	test -f "$$entry" || { echo "queue-crash-smoke: no cache entry at $$entry"; exit 1; }; \
+	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
+	rm "$$entry"; \
+	echo "queue-crash-smoke: killed pid $$pid, deleted $$entry, restarting on $$qdir"; \
+	start; \
+	settle; \
+	test -f "$$entry" || { echo "queue-crash-smoke: re-run left no cache entry at $$entry"; exit 1; }; \
 	echo "queue-crash-smoke ok"
 
 # Sharded-serving smoke: three rar -serve nodes on loopback form a

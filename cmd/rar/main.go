@@ -96,10 +96,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print Prometheus-style metrics for the run to stderr")
 	benchJSON := flag.Bool("bench-json", false, "benchmark mode: run -bench (comma-separated list) × -approach (comma-separated list) and print one JSON record per row to stdout")
 	jobs := flag.Int("j", 1, "parallel retiming jobs for -bench-json and -serve (0 = all cores); results are identical at any setting")
-	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (validated on load; empty = in-memory only)")
+	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (validated on load; empty = in-memory only, or <queue-dir>/cache with -serve -queue-dir); in -serve mode it is the only store of job results")
 	serveAddr := flag.String("serve", "", "serve the retiming job API over HTTP on this address (e.g. :8080) instead of running locally")
 	serveTimeout := flag.Duration("serve-timeout", 2*time.Minute, "per-request HTTP timeout in -serve mode (jobs keep running; 0 = none)")
-	queueDir := flag.String("queue-dir", "", "write-ahead job journal directory for -serve; restarting on the same dir recovers queued and in-flight jobs (empty = in-memory queue)")
+	queueDir := flag.String("queue-dir", "", "write-ahead job journal directory for -serve; restarting on the same dir recovers queued and in-flight jobs, done jobs keep their state and resolve through the cache (implies -cache-dir <queue-dir>/cache when unset; empty = in-memory queue)")
 	queueCap := flag.Int("queue-cap", 0, "bound on queued+running jobs in -serve mode; submissions beyond it get 429 (0 = default 1024)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "worker lease duration in -serve mode; an expired lease requeues the job (0 = default 2m)")
 	jobRetries := flag.Int("job-retries", 0, "per-job attempt budget in -serve mode before the dead-letter state (0 = default 5)")

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"path/filepath"
 	"time"
 
 	"relatch/internal/cluster"
@@ -26,10 +27,12 @@ import (
 // dead letter, /healthz is liveness, /readyz readiness, GET /metrics
 // the obs counters plus per-stage latency histograms. With -queue-dir
 // the journal survives crashes: restarting on the same directory
-// recovers every queued and in-flight job. -debug-addr exposes
-// net/http/pprof on a second, private listener. SIGINT drains the
-// listener gracefully, then the deferred closes stop the pump, queue
-// and engine; a clean shutdown exits 0.
+// recovers every queued and in-flight job. Done jobs keep only their
+// state in the journal; their results live in the cache, which defaults
+// to <queue-dir>/cache so durable jobs keep durable results.
+// -debug-addr exposes net/http/pprof on a second, private listener.
+// SIGINT drains the listener gracefully, then the deferred closes stop
+// the pump, queue and engine; a clean shutdown exits 0.
 //
 // With -peers/-node-id the node joins a static cluster: submissions
 // for keys another shard owns are forwarded there, local cache misses
@@ -38,7 +41,11 @@ import (
 // -auth-file gates the public API behind per-client bearer tokens with
 // token-bucket rate limits and admission quotas.
 func runServe(ctx context.Context, o options) error {
-	cache, err := engine.NewCache(0, o.cacheDir)
+	cacheDir := o.cacheDir
+	if cacheDir == "" && o.queueDir != "" {
+		cacheDir = filepath.Join(o.queueDir, "cache")
+	}
+	cache, err := engine.NewCache(0, cacheDir)
 	if err != nil {
 		return err
 	}

@@ -185,27 +185,18 @@ func (c *Cache) EntryPath(key Key) string {
 	return filepath.Join(c.dir, key.String()+".json")
 }
 
-// Get serves a cached outcome for the key, trying memory then disk.
-// The boolean reports whether a validated outcome was produced; every
-// failure mode (absent, stale schema, poisoned) degrades to a miss.
+// Get serves a cached outcome for the key, trying memory, then disk,
+// then the peer tier. The boolean reports whether a validated outcome
+// was produced; every failure mode (absent, stale schema, poisoned)
+// degrades to a miss.
 func (c *Cache) Get(ctx context.Context, key Key, job Job) (*Outcome, bool) {
 	sp, ctx := obsCacheSpan(ctx, key)
 	defer sp.End()
 
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		out := el.Value.(*lruItem).out
-		c.stats.Hits++
-		c.mu.Unlock()
+	if out, ok := c.Memory(key); ok {
 		sp.Add("hit", 1)
-		hit := *out
-		hit.CacheHit = true
-		hit.CacheLayer = "memory"
-		return &hit, true
+		return out, true
 	}
-	c.mu.Unlock()
-
 	if c.dir != "" {
 		out, err := c.Probe(ctx, key, job)
 		switch {
@@ -241,6 +232,25 @@ func (c *Cache) Get(ctx context.Context, key Key, job Job) (*Outcome, bool) {
 	}
 	c.miss(sp)
 	return nil, false
+}
+
+// Memory serves a key from the in-memory layer alone. It needs no job:
+// a resident outcome already passed its gate when it was solved or
+// restored, so a caller holding only the key can skip rebuilding the
+// job. A miss here is not counted; Get counts it if every layer misses.
+func (c *Cache) Memory(key Key) (*Outcome, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.stats.Hits++
+	hit := *el.Value.(*lruItem).out
+	hit.CacheHit = true
+	hit.CacheLayer = "memory"
+	return &hit, true
 }
 
 // peerGet tries the cluster peer tier. A fetched blob passes the exact
@@ -395,16 +405,34 @@ func (c *Cache) Put(ctx context.Context, key Key, job Job, out *Outcome) {
 
 // writeRaw atomically publishes an entry blob to the disk layer: a
 // crashed writer must never leave a torn entry that a later Get would
-// flag as poisoned.
+// flag as poisoned. Each write goes through its own temp file, since
+// writers of one key race (a lead's Put against a peer-tier or
+// degraded-mode restore), and two writers sharing one temp path could
+// interleave and publish a blob neither wrote. A failed write leaves the
+// entry as it was: the cache degrades to memory-only for that key.
 func (c *Cache) writeRaw(key Key, raw []byte) {
 	if c.dir == "" {
 		return
 	}
-	tmp := c.EntryPath(key) + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	f, err := os.CreateTemp(c.dir, key.String()+".*.tmp")
+	if err != nil {
 		return
 	}
-	os.Rename(tmp, c.EntryPath(key))
+	_, err = f.Write(raw)
+	if err == nil {
+		// CreateTemp makes the file 0600; entries keep the mode a plain
+		// write gives them.
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), c.EntryPath(key))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
 }
 
 // insertLocked adds an outcome to the LRU (c.mu held) and returns how

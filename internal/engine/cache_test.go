@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
+	"sync"
 	"testing"
 
 	"relatch/internal/obs"
@@ -281,6 +283,45 @@ func TestTamperedClaimsRejected(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Poisoned != 1 {
 		t.Errorf("poisoned = %d, want 1", st.Poisoned)
+	}
+}
+
+// TestConcurrentWritersNeverTearAnEntry races writers of one key with
+// blobs of two sizes, as a lead's Put races a peer-tier or degraded-mode
+// restore: every published entry must be one blob written whole, never
+// an interleaving that the next restore would count as poisoned.
+func TestConcurrentWritersNeverTearAnEntry(t *testing.T) {
+	dir := t.TempDir()
+	cache := mustCache(t, 8, dir)
+	key, err := testJob(t, GRAR).Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := [][]byte{bytes.Repeat([]byte("a"), 256<<10), bytes.Repeat([]byte("b"), 1<<10)}
+	for round := 0; round < 300; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(raw []byte) {
+				defer wg.Done()
+				cache.writeRaw(key, raw)
+			}(blobs[w%2])
+		}
+		wg.Wait()
+		got, err := os.ReadFile(cache.EntryPath(key))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !bytes.Equal(got, blobs[0]) && !bytes.Equal(got, blobs[1]) {
+			t.Fatalf("round %d published a %d-byte blob no writer wrote", round, len(got))
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Errorf("cache dir holds %d files, want the one entry (no temp file outlives its writer)", len(ents))
 	}
 }
 

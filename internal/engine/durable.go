@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 // DurableConfig configures the durability layer between the HTTP
 // frontend and the engine.
 type DurableConfig struct {
-	// Engine executes leased jobs. Required; the caller owns its
-	// lifecycle.
+	// Engine executes leased jobs. Required, with a cache: the cache is
+	// the only store of job results. The caller owns its lifecycle.
 	Engine *Engine
 	// Queue is the write-ahead journaled job queue. Required; the caller
 	// owns its lifecycle and closes it after the Durable is closed.
@@ -28,10 +29,6 @@ type DurableConfig struct {
 	// Metrics, when non-nil, receives readiness gauges; the queue's own
 	// transition metrics are configured on the queue.
 	Metrics *obs.Registry
-	// Workers bounds concurrent pump goroutines (≤ 0 means the engine's
-	// worker count) — the engine's own pool is the real execution bound,
-	// so this only caps how many leases are outstanding at once.
-	Workers int
 	// Poll is the idle sleep between lease attempts when the queue has
 	// nothing eligible. ≤ 0 means 25ms.
 	Poll time.Duration
@@ -56,18 +53,20 @@ type envelope struct {
 	RequestID string     `json:"request_id,omitempty"`
 }
 
-// durableResult is the result payload stored in the queue on
-// completion.
-type durableResult struct {
-	Result    Summary `json:"result"`
-	RuntimeMS float64 `json:"runtime_ms"`
+// provenance is all the journal keeps of a completion: how the job ran —
+// the cache layer that answered it ("" for a fresh solve) and the
+// engine's runtime. The result itself lives only in the engine cache.
+type provenance struct {
+	CacheLayer string  `json:"cache_layer,omitempty"`
+	RuntimeMS  float64 `json:"runtime_ms"`
 }
 
 // Durable pumps jobs from the write-ahead queue through the engine:
 // lease, rebuild the job from its journaled request, solve+certify via
 // the engine (content-addressed cache and singleflight included), and
-// settle the lease as complete/fail/dead. It also runs the lease-expiry
-// sweep and tracks readiness (sustained overload, cache poisoning).
+// settle the lease as complete/fail/dead. It resolves done jobs' results
+// through the engine cache, runs the lease-expiry sweep and tracks
+// readiness (sustained overload, cache poisoning).
 type Durable struct {
 	cfg    DurableConfig
 	ctx    context.Context
@@ -81,14 +80,15 @@ type Durable struct {
 	unreadyReason string    // guarded by mu
 }
 
-// NewDurable builds the pump and starts its workers and sweep ticker.
-// The caller must Close it before closing the queue or engine.
+// NewDurable builds the pump and starts its workers — one lease loop per
+// engine worker — and its sweep ticker. The caller must Close it before
+// closing the queue or engine.
 func NewDurable(cfg DurableConfig) (*Durable, error) {
 	if cfg.Engine == nil || cfg.Queue == nil {
 		return nil, fmt.Errorf("engine: %w: durable layer needs an engine and a queue", ErrBadConfig)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = cap(cfg.Engine.sem)
+	if cfg.Engine.Cache() == nil {
+		return nil, fmt.Errorf("engine: %w: durable layer needs an engine with a cache to hold job results", ErrBadConfig)
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 25 * time.Millisecond
@@ -110,7 +110,7 @@ func NewDurable(cfg DurableConfig) (*Durable, error) {
 	// Seed the poisoning watermark so pre-existing counts (a reused
 	// cache dir) don't flip readiness at startup.
 	d.poisonedSeen = cfg.Engine.Stats().Cache.Poisoned
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < cfg.Engine.Workers(); i++ {
 		d.wg.Add(1)
 		go d.worker()
 	}
@@ -155,13 +155,67 @@ func (d *Durable) Enqueue(req JobRequest, requestID string) (queue.Job, error) {
 // CachedOutcome serves a request straight from the engine's validated
 // cache, bypassing the queue entirely — the degraded-mode path that
 // keeps cached keys answerable while the worker pool is saturated or
-// the queue is shedding.
+// the queue is shedding, and the way Result reaches the disk and peer
+// tiers.
 func (d *Durable) CachedOutcome(ctx context.Context, req JobRequest) (*Outcome, bool) {
 	job, err := BuildJob(req)
 	if err != nil {
 		return nil, false
 	}
 	return d.cfg.Engine.CachedOutcome(ctx, job)
+}
+
+// Result resolves a done job's result through the engine cache, the only
+// store of job results: memory under the journaled key, without
+// rebuilding the job; else Cache.Get for the job rebuilt from its
+// journaled request, whose disk or peer entry passes restore and
+// core.Certify on this read. The outcome's cache layer and runtime are
+// the journaled provenance — how the job ran, not how this read found it.
+// A done job whose entry is lost (absent, poisoned, stale schema, or
+// evicted from a memory-only cache) is re-enqueued and returned in its
+// new state without an outcome. A read cut short by ctx is no verdict on
+// the entry: it re-enqueues nothing and returns ctx's error. Other jobs
+// come back as they are.
+func (d *Durable) Result(ctx context.Context, j queue.Job) (queue.Job, *Outcome, error) {
+	if j.State != queue.StateDone {
+		return j, nil, nil
+	}
+	if out, ok := d.lookup(ctx, j); ok {
+		// An undecodable note (a journal from before results left the
+		// queue) reads as a fresh solve of unknown runtime.
+		var p provenance
+		json.Unmarshal(j.Provenance, &p)
+		out.CacheHit, out.CacheLayer = p.CacheLayer != "", p.CacheLayer
+		out.Runtime = time.Duration(math.Round(p.RuntimeMS*1000)) * time.Microsecond
+		return j, out, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return j, nil, fmt.Errorf("engine: resolving job %s: %w", j.ID, err)
+	}
+	requeued, err := d.cfg.Queue.Requeue(j.ID, "result lost from the cache; re-running")
+	if err != nil {
+		return j, nil, err
+	}
+	d.cfg.Logger.Warn("done job re-enqueued: result lost from the cache", "id", j.ID, "key", j.Key)
+	return requeued, nil, nil
+}
+
+// lookup finds a done job's outcome in the engine cache: memory under
+// the journaled key, then every layer for the job rebuilt from its
+// journaled request, traced like the pump's jobs. A payload that no
+// longer builds is a miss; the re-enqueued job then dead-letters in the
+// pump.
+func (d *Durable) lookup(ctx context.Context, j queue.Job) (*Outcome, bool) {
+	if key, err := ParseKey(j.Key); err == nil {
+		if out, ok := d.cfg.Engine.Cache().Memory(key); ok {
+			return out, true
+		}
+	}
+	var env envelope
+	if err := json.Unmarshal(j.Payload, &env); err != nil {
+		return nil, false
+	}
+	return d.CachedOutcome(obs.WithTracer(ctx, d.cfg.Tracer), env.Req)
 }
 
 // Saturated reports whether every engine worker slot is busy.
@@ -215,8 +269,9 @@ func (d *Durable) worker() {
 // Failure routing: payloads that no longer decode or build are
 // deterministic failures and go straight to the dead letter (Kill);
 // solve errors consume one attempt and retry with backoff (Fail);
-// anything uncertified is refused — the queue must never store a result
-// the certifier did not pass.
+// anything uncertified is refused — a job settles done only once the
+// engine cache holds a result the certifier passed. The completion
+// journals provenance only.
 func (d *Durable) process(j queue.Job) {
 	sp, ctx := obs.StartSpan(d.ctx, "queue.job")
 	defer sp.End()
@@ -251,15 +306,15 @@ func (d *Durable) process(j queue.Job) {
 	case !out.Summary().Certified:
 		d.settleFail(sp, j, fmt.Errorf("engine: job %s produced an uncertified result", j.ID))
 	default:
-		res, merr := json.Marshal(durableResult{
-			Result:    out.Summary(),
-			RuntimeMS: float64(out.Runtime.Microseconds()) / 1000,
+		note, merr := json.Marshal(provenance{
+			CacheLayer: out.CacheLayer,
+			RuntimeMS:  float64(out.Runtime.Microseconds()) / 1000,
 		})
 		if merr != nil {
-			d.settleFail(sp, j, fmt.Errorf("engine: encoding result: %w", merr))
+			d.settleFail(sp, j, fmt.Errorf("engine: encoding provenance: %w", merr))
 			return
 		}
-		if cerr := d.cfg.Queue.Complete(j.ID, j.Lease, res); cerr != nil {
+		if cerr := d.cfg.Queue.Complete(j.ID, j.Lease, note); cerr != nil {
 			// A stale lease here means the job expired mid-solve and was
 			// handed to someone else; the engine cache already holds the
 			// result, so the retry collapses onto it.

@@ -268,8 +268,8 @@ func (e *Engine) WorkersBusy() int { return len(e.sem) }
 
 // CachedOutcome returns a validated cached outcome for the job without
 // consuming a worker slot or touching the queue. It backs the degraded
-// serve-from-cache-only mode: a cache probe, restore and re-certify,
-// nothing else.
+// serve-from-cache-only mode and done-job status reads: a cache probe,
+// restore and re-certify, nothing else.
 func (e *Engine) CachedOutcome(ctx context.Context, job Job) (*Outcome, bool) {
 	if e.cfg.Cache == nil {
 		return nil, false

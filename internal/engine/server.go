@@ -82,10 +82,11 @@ type ServerConfig struct {
 // Server is the rar -serve HTTP frontend: POST /jobs journals and
 // admits a job (202, or 200 straight from cache in degraded mode, or
 // 429 + Retry-After when shedding), GET /jobs/{id} polls status with
-// attempt/retry detail, GET /jobs?state= filters the queue (including
-// the dead letter), /healthz is liveness, /readyz is readiness, and
-// GET /metrics serves the obs counters in Prometheus text format.
-// Every response carries an X-Request-Id.
+// attempt/retry detail and, once done, the result the durable layer
+// resolves through the engine cache, GET /jobs?state= lists status rows
+// without results (including the dead letter), /healthz is liveness,
+// /readyz is readiness, and GET /metrics serves the obs counters in
+// Prometheus text format. Every response carries an X-Request-Id.
 type Server struct {
 	cfg ServerConfig
 
@@ -303,13 +304,11 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, internal bool
 	// either — serve them synchronously instead of queueing or shedding.
 	if d.Saturated() || d.Queue().Full() {
 		if out, ok := d.CachedOutcome(r.Context(), req); ok {
-			sum := out.Summary()
 			s.cfg.Logger.Info("served from cache (degraded mode)", "key", out.Key.Short(),
 				"request_id", requestID(r))
 			writeJSON(w, http.StatusOK, jobStatus{
 				ID: "cached-" + out.Key.Short(), Key: out.Key.String(), Status: "done",
-				Result: &sum, RuntimeMS: float64(out.Runtime.Microseconds()) / 1000,
-			})
+			}.withResult(out))
 			return
 		}
 	}
@@ -438,14 +437,14 @@ func (s *Server) handleInternalStatus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("engine: no job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.statusOf(j))
+	s.writeStatus(w, r, j)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.cfg.Durable.Queue().Get(id)
 	if ok {
-		writeJSON(w, http.StatusOK, s.statusOf(j))
+		s.writeStatus(w, r, j)
 		return
 	}
 	// A job this node forwarded lives in the owner's queue; proxy the
@@ -464,6 +463,26 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusNotFound, fmt.Errorf("engine: no job %q", id))
 }
 
+// writeStatus answers a status poll for one local job. A done job's
+// result comes from the durable layer's cache lookup; a job it had to
+// re-enqueue answers with its new state, to be polled again.
+func (s *Server) writeStatus(w http.ResponseWriter, r *http.Request, j queue.Job) {
+	j, out, err := s.cfg.Durable.Result(r.Context(), j)
+	switch {
+	case err != nil:
+		// The read was cut short by its own context, or the queue could
+		// not take the re-enqueue: there is no answer yet.
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusServiceUnavailable, err)
+	case out != nil:
+		writeJSON(w, http.StatusOK, s.statusOf(j).withResult(out))
+	default:
+		writeJSON(w, http.StatusOK, s.statusOf(j))
+	}
+}
+
+// handleList lists status rows without results: resolving every done
+// job would restore each one from the cache.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	want := r.URL.Query().Get("state")
 	jobs := s.cfg.Durable.Queue().Jobs()
@@ -575,8 +594,7 @@ func BuildJob(req JobRequest) (Job, error) {
 	return job, nil
 }
 
-// statusOf renders a queue job for the API, decoding the stored result
-// payload for done jobs.
+// statusOf renders a queue job's state for the API, without a result.
 func (s *Server) statusOf(j queue.Job) jobStatus {
 	now := s.cfg.Durable.Queue().Now()
 	js := jobStatus{
@@ -586,13 +604,13 @@ func (s *Server) statusOf(j queue.Job) jobStatus {
 	if j.State == queue.StateQueued && j.NextRetry.After(now) {
 		js.NextRetryMS = float64(j.NextRetry.Sub(now).Microseconds()) / 1000
 	}
-	if j.State == queue.StateDone && len(j.Result) > 0 {
-		var res durableResult
-		if err := json.Unmarshal(j.Result, &res); err == nil {
-			js.Result = &res.Result
-			js.RuntimeMS = res.RuntimeMS
-		}
-	}
+	return js
+}
+
+// withResult attaches an outcome's summary and runtime to a status row.
+func (js jobStatus) withResult(out *Outcome) jobStatus {
+	sum := out.Summary()
+	js.Result, js.RuntimeMS = &sum, float64(out.Runtime.Microseconds())/1000
 	return js
 }
 

@@ -157,7 +157,8 @@ func TestServerSubmitPollComplete(t *testing.T) {
 		t.Errorf("done job reports no runtime: %+v", done)
 	}
 
-	// The listing includes the finished job.
+	// The listing includes the finished job, as a status row: results
+	// are resolved per job, never for a whole listing.
 	hresp, err := http.Get(ts.URL + "/jobs")
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +166,11 @@ func TestServerSubmitPollComplete(t *testing.T) {
 	var all []jobStatus
 	err = json.NewDecoder(hresp.Body).Decode(&all)
 	hresp.Body.Close()
-	if err != nil || len(all) != 1 || all[0].ID != js.ID {
+	if err != nil || len(all) != 1 || all[0].ID != js.ID || all[0].Status != "done" {
 		t.Errorf("listing = %+v (%v)", all, err)
+	}
+	if len(all) == 1 && (all[0].Result != nil || all[0].RuntimeMS != 0) {
+		t.Errorf("listing row carries a result: %+v", all[0])
 	}
 
 	// An identical resubmission is content-addressed to the same key and

@@ -1,8 +1,9 @@
 package faults
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -15,7 +16,10 @@ import (
 // accepted before the crash is driven to done (with a certified
 // result) or dead by a restarted engine — never lost. The crash is
 // injected via the queue's AppendHook, which kills the journal exactly
-// at a record boundary; the restart replays the surviving records.
+// at a record boundary; the restart replays the surviving records. Each
+// crash point also runs with the cache directory deleted before the
+// restart: done jobs whose results went with it must re-run, not
+// vanish or be answered from anywhere else.
 func TestCrashRecoveryProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix is slow")
@@ -26,27 +30,64 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	for i := range requests {
 		requests[i] = engine.JobRequest{Verilog: goodSource, Approach: "grar", PivotLimit: i + 1}
 	}
-	// Crash after N journal appends, for every N that falls inside the
-	// submit burst (each submit is one record; the pump may interleave
-	// lease/complete records, which is part of the point).
-	for crashAfter := 1; crashAfter <= 6; crashAfter++ {
-		t.Run(fmt.Sprintf("crash-after-%d-records", crashAfter), func(t *testing.T) {
-			dir := t.TempDir()
-			accepted := crashPhase(t, dir, requests, crashAfter)
-			recoverPhase(t, dir, accepted)
-		})
+	// Crash after N journal appends, for every N up to the 12 records a
+	// crash-free run writes (a submit, a lease and a complete per job;
+	// the pump interleaves its records with the submit burst, which is
+	// part of the point). Late crash points leave done jobs behind, whose
+	// results the cache-lost variant takes away.
+	for crashAfter := 1; crashAfter <= 3*len(requests); crashAfter++ {
+		for _, cacheLost := range []bool{false, true} {
+			name := fmt.Sprintf("crash-after-%d-records", crashAfter)
+			if cacheLost {
+				name += "-cache-lost"
+			}
+			t.Run(name, func(t *testing.T) {
+				qdir, cdir := t.TempDir(), t.TempDir()
+				accepted := crashPhase(t, qdir, cdir, requests, crashAfter)
+				if cacheLost {
+					if err := os.RemoveAll(cdir); err != nil {
+						t.Fatal(err)
+					}
+				}
+				recoverPhase(t, qdir, cdir, accepted)
+			})
+		}
+	}
+}
+
+// durableStack wires an engine with a disk cache and a durable pump over
+// an open queue; stop halts the pump, then the engine.
+func durableStack(t *testing.T, q *queue.Queue, cdir string) (d *engine.Durable, stop func()) {
+	t.Helper()
+	cache, err := engine.NewCache(0, cdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Config{Workers: 2, Cache: cache})
+	d, err = engine.NewDurable(engine.DurableConfig{
+		Engine: eng, Queue: q, Poll: time.Millisecond, Sweep: time.Millisecond,
+	})
+	if err != nil {
+		eng.Close()
+		t.Fatal(err)
+	}
+	return d, func() {
+		d.Close()
+		eng.Close()
 	}
 }
 
 // crashPhase runs a serving stack against a journal that dies after
-// crashAfter appends, submits the requests, and returns the IDs the
-// queue accepted (the jobs that are owed). The stack is torn down as a
-// crashed process would leave it: without settling in-flight work.
-func crashPhase(t *testing.T, dir string, requests []engine.JobRequest, crashAfter int) []string {
+// crashAfter appends, submits the requests, runs until the crash (or
+// until every accepted job settled, when the crash point lies beyond the
+// run), and returns the IDs the queue accepted (the jobs that are owed).
+// The stack is torn down as a crashed process would leave it: without
+// settling in-flight work.
+func crashPhase(t *testing.T, qdir, cdir string, requests []engine.JobRequest, crashAfter int) []string {
 	t.Helper()
 	appends := 0
 	q, err := queue.Open(queue.Config{
-		Dir:         dir,
+		Dir:         qdir,
 		MaxAttempts: 3,
 		BaseBackoff: time.Millisecond,
 		AppendHook: func(recType string, seq uint64) error {
@@ -61,15 +102,8 @@ func crashPhase(t *testing.T, dir string, requests []engine.JobRequest, crashAft
 		t.Fatal(err)
 	}
 	defer q.Close()
-	eng := engine.New(engine.Config{Workers: 2})
-	defer eng.Close()
-	d, err := engine.NewDurable(engine.DurableConfig{
-		Engine: eng, Queue: q, Poll: time.Millisecond, Sweep: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	d, stop := durableStack(t, q, cdir)
+	defer stop()
 
 	var accepted []string
 	for _, req := range requests {
@@ -81,27 +115,38 @@ func crashPhase(t *testing.T, dir string, requests []engine.JobRequest, crashAft
 		}
 		accepted = append(accepted, j.ID)
 	}
+	deadline := time.Now().Add(30 * time.Second)
+	for q.Err() == nil && !settled(q, accepted) {
+		if time.Now().After(deadline) {
+			t.Fatal("crash phase neither crashed nor settled its jobs")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	return accepted
 }
 
-// recoverPhase restarts on the journal dir and asserts every accepted
-// job settles as done (certified) or dead.
-func recoverPhase(t *testing.T, dir string, accepted []string) {
+// settled reports whether every listed job is done or dead.
+func settled(q *queue.Queue, ids []string) bool {
+	for _, id := range ids {
+		if j, _ := q.Get(id); j.State != queue.StateDone && j.State != queue.StateDead {
+			return false
+		}
+	}
+	return true
+}
+
+// recoverPhase restarts on the journal and cache dirs and asserts every
+// accepted job settles as done, with a certified result resolved
+// through the durable layer, or dead.
+func recoverPhase(t *testing.T, qdir, cdir string, accepted []string) {
 	t.Helper()
-	q, err := queue.Open(queue.Config{Dir: dir, MaxAttempts: 3, BaseBackoff: time.Millisecond})
+	q, err := queue.Open(queue.Config{Dir: qdir, MaxAttempts: 3, BaseBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer q.Close()
-	eng := engine.New(engine.Config{Workers: 2})
-	defer eng.Close()
-	d, err := engine.NewDurable(engine.DurableConfig{
-		Engine: eng, Queue: q, Poll: time.Millisecond, Sweep: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	d, stop := durableStack(t, q, cdir)
+	defer stop()
 
 	deadline := time.Now().Add(60 * time.Second)
 	for _, id := range accepted {
@@ -110,9 +155,15 @@ func recoverPhase(t *testing.T, dir string, accepted []string) {
 			if !ok {
 				t.Fatalf("accepted job %s lost across the crash", id)
 			}
-			if j.State == queue.StateDone {
-				if res, cert := recoveredSummary(t, j); !cert {
-					t.Fatalf("job %s served uncertified after recovery: %s", id, res)
+			// A done job whose result was lost comes back re-enqueued and
+			// is polled again until it has re-run.
+			j, out, err := d.Result(context.Background(), j)
+			if err != nil {
+				t.Fatalf("resolving job %s: %v", id, err)
+			}
+			if out != nil {
+				if sum := out.Summary(); !sum.Certified {
+					t.Fatalf("job %s served uncertified after recovery: %+v", id, sum)
 				}
 				break
 			}
@@ -125,17 +176,4 @@ func recoverPhase(t *testing.T, dir string, accepted []string) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-}
-
-// recoveredSummary decodes a done job's stored result and reports
-// whether it is certified.
-func recoveredSummary(t *testing.T, j queue.Job) (string, bool) {
-	t.Helper()
-	var res struct {
-		Result engine.Summary `json:"result"`
-	}
-	if err := json.Unmarshal(j.Result, &res); err != nil {
-		t.Fatalf("job %s result undecodable: %v", j.ID, err)
-	}
-	return fmt.Sprintf("%+v", res.Result), res.Result.Certified
 }

@@ -63,8 +63,10 @@ type record struct {
 	Error     string `json:"error,omitempty"`
 	NextRetNS int64  `json:"next_retry_ns,omitempty"`
 
-	// complete field. Opaque bytes, like Payload.
-	Result []byte `json:"result,omitempty"`
+	// complete/snap field: the settling worker's provenance note, opaque
+	// bytes like Payload. Journals written before results moved out of
+	// the queue carry a "result" field instead, which decoding ignores.
+	Provenance []byte `json:"provenance,omitempty"`
 }
 
 // journal owns the active segment file of a queue directory.

@@ -15,7 +15,10 @@
 // original API request, which is what makes recovery possible — a
 // replayed submit rebuilds the job from first principles and re-runs
 // the full solve+certify pipeline, so nothing restored is served
-// uncertified.
+// uncertified. A done job keeps its state and an opaque provenance note
+// of how it ran, never its result: results live in the engine's cache,
+// and a done job whose result was lost goes back to the queue through
+// Requeue.
 package queue
 
 import (
@@ -97,8 +100,10 @@ type Job struct {
 	NextRetry   time.Time
 	LeaseExpiry time.Time
 	Lease       uint64
-	Result      json.RawMessage
-	EnqueuedAt  time.Time
+	// Provenance is the opaque note the settling worker journaled with
+	// the done transition (nil until the job is done).
+	Provenance json.RawMessage
+	EnqueuedAt time.Time
 	// LeasedAt is when the current lease was taken (zero when not
 	// leased, and after a restart replay — recovered leases are requeued
 	// anyway). It feeds the lease-hold histogram on settlement.
@@ -327,7 +332,7 @@ func (q *Queue) replay(recs []record) {
 				jb.Attempts = r.Attempts
 				jb.LastError = r.Error
 				jb.Lease = r.Lease
-				jb.Result = r.Result
+				jb.Provenance = r.Provenance
 				if r.NextRetNS > 0 {
 					jb.NextRetry = time.Unix(0, r.NextRetNS)
 				}
@@ -349,8 +354,9 @@ func (q *Queue) replay(recs []record) {
 		case "complete":
 			if jb, ok := q.jobs[r.ID]; ok {
 				jb.State = StateDone
-				jb.Result = r.Result
+				jb.Provenance = r.Provenance
 				jb.LastError = ""
+				jb.Lease, jb.LeaseExpiry = 0, time.Time{}
 			}
 		case "fail", "recover":
 			if jb, ok := q.jobs[r.ID]; ok {
@@ -359,6 +365,7 @@ func (q *Queue) replay(recs []record) {
 				jb.LastError = r.Error
 				jb.Lease = 0
 				jb.LeaseExpiry = time.Time{}
+				jb.Provenance = nil
 				if r.NextRetNS > 0 {
 					jb.NextRetry = time.Unix(0, r.NextRetNS)
 				} else {
@@ -370,6 +377,7 @@ func (q *Queue) replay(recs []record) {
 				jb.State = StateDead
 				jb.LastError = r.Error
 				jb.Attempts = r.Attempts
+				jb.Lease, jb.LeaseExpiry = 0, time.Time{}
 			}
 		}
 	}
@@ -489,7 +497,7 @@ func (q *Queue) snapshotLocked() []record {
 			EnqueuedNS: jb.EnqueuedAt.UnixNano(), State: jb.State.String(),
 			Attempts: jb.Attempts, Error: jb.LastError, Lease: jb.Lease,
 			ExpiryNS: nanosOrZero(jb.LeaseExpiry), NextRetNS: nanosOrZero(jb.NextRetry),
-			Result: jb.Result,
+			Provenance: jb.Provenance,
 		})
 	}
 	return snaps
@@ -619,11 +627,11 @@ func (q *Queue) checkLeaseLocked(id string, lease uint64) (*job, error) {
 	return jb, nil
 }
 
-// Complete settles a leased job as done with its result payload. A
+// Complete settles a leased job as done with its provenance note. A
 // stale lease token — the job expired and was handed to another worker,
 // or was already settled — is rejected, which is what keeps duplicate
-// deliveries from double-publishing results.
-func (q *Queue) Complete(id string, lease uint64, result []byte) error {
+// deliveries from settling a job twice.
+func (q *Queue) Complete(id string, lease uint64, provenance []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if err := q.guardLocked(); err != nil {
@@ -633,12 +641,12 @@ func (q *Queue) Complete(id string, lease uint64, result []byte) error {
 	if err != nil {
 		return err
 	}
-	res := append(json.RawMessage(nil), result...)
-	if err := q.appendLocked(record{Type: "complete", ID: id, Result: res}); err != nil {
+	note := append(json.RawMessage(nil), provenance...)
+	if err := q.appendLocked(record{Type: "complete", ID: id, Provenance: note}); err != nil {
 		return err
 	}
 	jb.State = StateDone
-	jb.Result = res
+	jb.Provenance = note
 	jb.LastError = ""
 	jb.Lease, jb.LeaseExpiry = 0, time.Time{}
 	q.observeLeaseHoldLocked(jb)
@@ -648,6 +656,42 @@ func (q *Queue) Complete(id string, lease uint64, result []byte) error {
 	q.trimTerminalLocked()
 	q.updateGaugesLocked()
 	return q.maybeCompactLocked()
+}
+
+// Requeue returns a done job to the queue because its result can no
+// longer be produced — the engine lost the job's cache entry. It is
+// journaled as a recover record, so replay needs no case of its own. It
+// is not an attempt (the count and the retry budget are untouched) and
+// capacity never sheds it, since the job was accepted long ago. A job
+// that is no longer done — another caller requeued it first — is left
+// alone, so one loss re-runs the job once. It returns the job's snapshot
+// as the call left it.
+func (q *Queue) Requeue(id, cause string) (Job, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if err := q.guardLocked(); err != nil {
+		return Job{}, err
+	}
+	jb, ok := q.jobs[id]
+	if !ok {
+		return Job{}, fmt.Errorf("queue: %w: %s", ErrNoJob, id)
+	}
+	if jb.State != StateDone {
+		return jb.Job, nil
+	}
+	if err := q.appendLocked(record{
+		Type: "recover", ID: id, Attempts: jb.Attempts, Error: cause,
+	}); err != nil {
+		return Job{}, err
+	}
+	jb.State = StateQueued
+	jb.LastError = cause
+	jb.NextRetry = time.Time{}
+	jb.Provenance = nil
+	q.cfg.Metrics.Add(`relatch_queue_jobs_total{event="requeued"}`, 1)
+	q.publishStageLocked(id, "queued")
+	q.updateGaugesLocked()
+	return jb.Job, q.maybeCompactLocked()
 }
 
 // observeLeaseHoldLocked records how long the settling worker held its

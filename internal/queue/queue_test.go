@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -63,7 +64,7 @@ func TestLifecycleQueuedLeasedDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := q.Get(j.ID)
-	if !ok || got.State != StateDone || string(got.Result) != `{"done":true}` {
+	if !ok || got.State != StateDone || string(got.Provenance) != `{"done":true}` {
 		t.Fatalf("done job = %+v", got)
 	}
 	st := q.Stats()
@@ -227,7 +228,7 @@ func TestReopenRecoversQueuedAndLeased(t *testing.T) {
 		t.Fatalf("recovered in-flight job = %+v", ra)
 	}
 	rb, ok := q2.Get(b.ID)
-	if !ok || rb.State != StateDone || string(rb.Result) != "rb" {
+	if !ok || rb.State != StateDone || string(rb.Provenance) != "rb" {
 		t.Fatalf("recovered done job = %+v", rb)
 	}
 	rc, ok := q2.Get(c.ID)
@@ -244,6 +245,118 @@ func TestReopenRecoversQueuedAndLeased(t *testing.T) {
 	}
 	if d.ID <= c.ID {
 		t.Errorf("new ID %s does not extend recovered sequence (last %s)", d.ID, c.ID)
+	}
+}
+
+// TestReopenSnapshotsMatchLive: replay rebuilds exactly the state the
+// live transitions left — no lease token or expiry survives a settled
+// job — for a done, a retrying, a dead, a requeued and a queued job.
+func TestReopenSnapshotsMatchLive(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	cfg := Config{Dir: dir, BaseBackoff: time.Minute, Clock: clk.Now, Jitter: func() float64 { return 0.5 }}
+	q, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := q.Enqueue(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lease := func() Job {
+		t.Helper()
+		j, ok, err := q.Lease()
+		if err != nil || !ok {
+			t.Fatalf("lease ok=%v err=%v", ok, err)
+		}
+		return j
+	}
+	done := lease()
+	if err := q.Complete(done.ID, done.Lease, []byte(`{"cache_layer":"disk"}`)); err != nil {
+		t.Fatal(err)
+	}
+	retrying := lease()
+	if err := q.Fail(retrying.ID, retrying.Lease, errors.New("hiccup")); err != nil {
+		t.Fatal(err)
+	}
+	dead := lease()
+	if err := q.Kill(dead.ID, dead.Lease, errors.New("unbuildable")); err != nil {
+		t.Fatal(err)
+	}
+	requeued := lease()
+	if err := q.Complete(requeued.ID, requeued.Lease, []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Requeue(requeued.ID, "result lost"); err != nil {
+		t.Fatal(err)
+	}
+	live := q.Jobs()
+	q.Close()
+
+	replayed := openTest(t, cfg).Jobs()
+	if len(replayed) != len(live) {
+		t.Fatalf("reopen holds %d jobs, live queue held %d", len(replayed), len(live))
+	}
+	for i := range live {
+		if !reflect.DeepEqual(replayed[i], live[i]) {
+			t.Errorf("job %s after reopen:\n got %+v\nwant %+v", live[i].ID, replayed[i], live[i])
+		}
+	}
+}
+
+// TestRequeueReturnsDoneJobOnce: a done job whose result was lost goes
+// back to the queue once — no attempt burned, not shed at capacity, a
+// queued stage and a counter — and only a done job moves.
+func TestRequeueReturnsDoneJobOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	stream := obs.NewStream(16)
+	q := openTest(t, Config{Dir: t.TempDir(), Capacity: 1, Metrics: reg, Events: stream})
+	j, err := q.Enqueue("k", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leased, _, _ := q.Lease()
+	if err := q.Complete(leased.ID, leased.Lease, []byte(`{"cache_layer":"memory"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Enqueue("filler", nil); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := stream.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	// The queue is at capacity; the requeue is owed work, not a new
+	// admission, so it is never shed.
+	got, err := q.Requeue(j.ID, "result lost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := q.Get(j.ID); !reflect.DeepEqual(now, got) {
+		t.Fatalf("Requeue returned %+v, queue holds %+v", got, now)
+	}
+	if got.State != StateQueued || got.Attempts != 0 || got.LastError != "result lost" || got.Provenance != nil {
+		t.Fatalf("requeued job = %+v", got)
+	}
+	if stages := drainStages(t, sub, j.ID, 1); stages[0] != "queued" {
+		t.Fatalf("requeue published %v, want queued", stages)
+	}
+	if n := reg.Counter(`relatch_queue_jobs_total{event="requeued"}`); n != 1 {
+		t.Errorf("requeued counter = %d, want 1", n)
+	}
+	// A second caller that saw the job done before the first requeue
+	// finds it queued and leaves it alone.
+	if again, err := q.Requeue(j.ID, "result lost"); err != nil || again.State != StateQueued {
+		t.Fatalf("second requeue: %+v, %v", again, err)
+	}
+	if n := reg.Counter(`relatch_queue_jobs_total{event="requeued"}`); n != 1 {
+		t.Errorf("second requeue of a queued job counted: %d", n)
+	}
+	if _, err := q.Requeue("q-99999999", "lost"); !errors.Is(err, ErrNoJob) {
+		t.Errorf("requeue of an unknown job err = %v, want ErrNoJob", err)
 	}
 }
 
