@@ -8,6 +8,8 @@
 #   make fuzz-smoke short fuzzing pass over the Verilog parser
 #   make fuzz       longer fuzzing session (override FUZZTIME)
 #   make bench      regenerate BENCH_pipeline.json (perf trajectory)
+#   make bench-check regenerate the table into a temp file and fail on
+#                   drift in any result column (needs jq)
 #   make serve-smoke end-to-end smoke of rar -serve over real HTTP,
 #                   including the SSE stage-event sequence
 #   make loadgen-smoke replay jobs against rar -serve at a target rate,
@@ -28,7 +30,7 @@ BENCHJOBS ?= 4
 # every built-in profile is additionally linted in-memory.
 LINTBENCHES ?= s1196,s1238,s1423,s1488
 
-.PHONY: check test vet analyze build race lint certify fuzz-smoke fuzz bench serve-smoke loadgen-smoke queue-crash-smoke cluster-smoke
+.PHONY: check test vet analyze build race lint certify fuzz-smoke fuzz bench bench-check serve-smoke loadgen-smoke queue-crash-smoke cluster-smoke
 
 check: vet analyze build race fuzz-smoke
 
@@ -97,6 +99,23 @@ bench:
 	$(GO) build -o build/rar ./cmd/rar
 	./build/rar -bench-json -bench all -approach grar,base,nvl,evl,rvl -j $(BENCHJOBS) > BENCH_pipeline.json
 	@echo "wrote BENCH_pipeline.json"
+
+# Result gate on the committed table: rebuild it into a temp file and
+# require every row to match BENCH_pipeline.json in the result columns.
+# wall_ms, pivots and augmentations measure effort and are excluded, so
+# a perf change passes as long as its answers stay byte-identical.
+BENCH_RESULT_COLS = bench, approach, solver, fallback, slaves, masters, ed, seq_area, total_area
+bench-check:
+	$(GO) build -o build/rar ./cmd/rar
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	./build/rar -bench-json -bench all -approach grar,base,nvl,evl,rvl -j $(BENCHJOBS) > $$tmp/new.json; \
+	jq -c '.rows[] | {$(BENCH_RESULT_COLS)}' BENCH_pipeline.json > $$tmp/want; \
+	jq -c '.rows[] | {$(BENCH_RESULT_COLS)}' $$tmp/new.json > $$tmp/got; \
+	if ! diff $$tmp/want $$tmp/got; then \
+		echo "bench-check: result columns drifted from BENCH_pipeline.json (< committed, > rebuilt)"; \
+		exit 1; \
+	fi; \
+	echo "bench-check: $$(wc -l < $$tmp/got) rows match BENCH_pipeline.json"
 
 # End-to-end smoke of the HTTP serve mode: start rar -serve, submit a
 # benchmark job over real HTTP, attach an SSE consumer to its events

@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("  V_n = %v (latches must not pass)\n", names(c, g.Vn))
 	fmt.Printf("  V_r = %v (free)\n", names(c, g.Vr))
 	var gt []string
-	for _, id := range g.GT[o9.ID] {
+	for _, id := range g.CutSet(o9.ID) {
 		gt = append(gt, c.Nodes[id].Name)
 	}
 	fmt.Printf("  g(O9) = %v (Eq. 8-9 cut set)\n", gt)

@@ -12,11 +12,12 @@ import (
 	"strings"
 )
 
-// Rule hotalloc: the simplex pivot loop and the SSP augmentation loop
-// are the repo's hottest code — ROADMAP's solver-speed campaign lives
-// or dies on their per-iteration allocation count, and the
-// AllocsPerRun gates in internal/flow/alloc_test.go hold the measured
-// baseline. This rule is the static half of that gate: it keeps
+// Rule hotalloc: the simplex pivot loop, the SSP augmentation loop and
+// the relaxation loop of the feasibility check every virtual-library
+// probe runs are the repo's hottest code — ROADMAP's solver-speed
+// campaign lives or dies on their per-iteration allocation count, and
+// the AllocsPerRun gates in internal/flow/alloc_test.go hold the
+// measured baseline. This rule is the static half of that gate: it keeps
 // allocation sources from creeping back in between benchmark runs.
 //
 // Mechanics: the functions named in hotFuncs must each contain at
@@ -41,7 +42,7 @@ import (
 // internal/analysis/hotalloc.allow), keyed "file:func:kind:detail" —
 // e.g. "simplex.go:SolveSimplexCtx:append:chain". Unused allowlist
 // keys are findings too, so the file can't rot.
-var hotFuncs = []string{"SolveSimplexCtx", "SolveSSPCtx"}
+var hotFuncs = []string{"SolveSimplexCtx", "SolveSSPCtx", "Feasible"}
 
 const hotMarker = "//relint:hot"
 

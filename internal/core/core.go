@@ -304,17 +304,10 @@ func RetimeCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach Ap
 	// certifier compares the circuit that comes back against this
 	// fingerprint, so any in-place corruption is caught.
 	shape := cert.Snapshot(c)
-	bsp, _ := obs.StartSpan(ctx, "rgraph.build")
-	defer bsp.End()
-	g, err := rgraph.Build(c, optTiming, cfg)
+	g, err := rgraph.BuildCtx(ctx, c, optTiming, cfg)
 	if err != nil {
-		bsp.Fail(err)
-		bsp.End()
 		return nil, fmt.Errorf("core: %s: %w", approach, err)
 	}
-	bsp.Gauge("variables", int64(g.NumVariables()))
-	bsp.Gauge("constraints", int64(g.NumConstraints()))
-	bsp.End()
 	sol, err := g.SolveCtx(ctx, opt.Method)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", approach, err)

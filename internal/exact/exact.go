@@ -152,12 +152,13 @@ func ModelCost(g *rgraph.Graph, r map[int]int) float64 { return modelCost(g, r) 
 // reclaimed reports whether every gate of g(t) has been retimed through,
 // freeing master t from error detection in the model.
 func reclaimed(g *rgraph.Graph, target int, r map[int]int) bool {
-	for _, gid := range g.GT[target] {
+	cut := g.CutSet(target)
+	for _, gid := range cut {
 		if r[gid] != -1 {
 			return false
 		}
 	}
-	return len(g.GT[target]) > 0
+	return len(cut) > 0
 }
 
 func copyR(r map[int]int) map[int]int {

@@ -97,3 +97,42 @@ func TestAllocsFlatInWork(t *testing.T) {
 		t.Errorf("allocs grew %.1fx for 4x nodes (%.1f -> %.1f): per-pivot allocation suspected", ratio, small, large)
 	}
 }
+
+// allocLP builds a feasible difference-constraint ladder: a descending
+// chain plus shortcut constraints, so labels drop repeatedly and
+// subtrees are re-hung while the check runs.
+func allocLP(n int) *DiffLP {
+	l := NewDiffLP(n, n-1)
+	for i := 0; i+1 < n-1; i++ {
+		l.Constrain(i+1, i, -1)
+		if i+3 < n-1 {
+			l.Constrain(i+3, i, int64(-2-i%3))
+		}
+	}
+	for v := 0; v < n-1; v++ {
+		l.Bound(v, -int64(3*n), int64(3*n))
+	}
+	return l
+}
+
+// TestFeasibleAllocsFlat gates the feasibility check the same way: its
+// label, thread and queue arrays are allocated once per check, and the
+// relaxation loop allocates nothing, so a 16x larger instance with
+// proportionally more relaxations costs exactly as many allocations.
+func TestFeasibleAllocsFlat(t *testing.T) {
+	ctx := context.Background()
+	measure := func(n int) float64 {
+		l := allocLP(n)
+		return testing.AllocsPerRun(50, func() {
+			if ok, _, err := l.Feasible(ctx); err != nil || !ok {
+				t.Fatalf("n=%d: ok=%v err=%v", n, ok, err)
+			}
+		})
+	}
+	small, large := measure(32), measure(512)
+	// Measured 11.0 (one per array) on the reference container.
+	const ceiling = 14
+	if large != small || large > ceiling {
+		t.Errorf("Feasible: %.1f allocs at 32 variables, %.1f at 512, gate is %d and flat — an allocation has crept into the relaxation loop", small, large, ceiling)
+	}
+}

@@ -63,13 +63,14 @@ type DiffLP struct {
 	n          int
 	anchor     int
 	obj        []int64
-	cons       []diffConstraint
+	cons       []Constraint
 	pivotLimit int
 }
 
-type diffConstraint struct {
-	u, v int
-	c    int64
+// Constraint is one difference constraint r(U) − r(V) ≤ C.
+type Constraint struct {
+	U, V int
+	C    int64
 }
 
 // NewDiffLP creates a program with n variables anchored at variable
@@ -92,7 +93,7 @@ func (l *DiffLP) NumConstraints() int { return len(l.cons) }
 
 // Constrain adds r(u) − r(v) ≤ c.
 func (l *DiffLP) Constrain(u, v int, c int64) {
-	l.cons = append(l.cons, diffConstraint{u: u, v: v, c: c})
+	l.cons = append(l.cons, Constraint{U: u, V: v, C: c})
 }
 
 // Bound constrains lo ≤ r(v) − r(anchor) ≤ hi.
@@ -162,7 +163,7 @@ func (l *DiffLP) lower() (nw *Network, perm []int, err error) {
 		nw.SetDemand(perm[v], d)
 	}
 	for _, c := range l.cons {
-		if _, err := nw.AddArc(perm[c.u], perm[c.v], c.c, Unbounded); err != nil {
+		if _, err := nw.AddArc(perm[c.U], perm[c.V], c.C, Unbounded); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -229,9 +230,9 @@ func (l *DiffLP) SolveCtx(ctx context.Context, method Method) (*Result, error) {
 // checkFeasible verifies every constraint against an assignment.
 func (l *DiffLP) checkFeasible(r []int64) error {
 	for _, c := range l.cons {
-		if r[c.u]-r[c.v] > c.c {
-			//relint:ignore sentinel -- detail string embedded in the ErrNotCertified wrap at the only call site
-			return fmt.Errorf("r(%d)−r(%d) = %d > %d", c.u, c.v, r[c.u]-r[c.v], c.c)
+		if r[c.U]-r[c.V] > c.C {
+			//relint:ignore sentinel -- detail string embedded in the ErrNotCertified and ErrInternal wraps at the call sites
+			return fmt.Errorf("r(%d)−r(%d) = %d > %d", c.U, c.V, r[c.U]-r[c.V], c.C)
 		}
 	}
 	return nil

@@ -77,7 +77,7 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 	}
 	// E2: g(t) → P(t) → host with the −c reward.
 	for _, id := range pseudos {
-		for _, gid := range g.GT[id] {
+		for _, gid := range g.CutSet(id) {
 			fmt.Fprintf(&b, "  %s -> %s [color=red];\n",
 				quote(g.C.Nodes[gid].Name), quote("P_"+g.C.Nodes[id].Name))
 		}

@@ -9,7 +9,9 @@
 //   - for every *target master* t (a master whose error-detecting status
 //     depends on the slave positions) the cut set g(t) of Eq. (8–9) is
 //     computed and a pseudo node P(t) with the −c reward edge to the host
-//     is added (Section IV-A, the red E2/V2 of Fig. 5).
+//     is added (Section IV-A, the red E2/V2 of Fig. 5). Cut sets are
+//     computed on first read (Graph.CutSet), so a graph without the
+//     P(t) construction never pays for them.
 //
 // With ResilientAware switched off the construction degenerates to
 // classic min-area latch retiming — the paper's Base-Retiming comparison.
@@ -110,9 +112,8 @@ type Graph struct {
 
 	// Class maps output node ID to its target classification.
 	Class map[int]TargetClass
-	// GT maps a Target output ID to its cut set g(t), sorted node IDs.
-	GT map[int][]int
 
+	cuts     map[int][]int // memoised CutSet results by output ID
 	dbMax    []float64
 	dbAdj    []float64 // required-time-adjusted backward delays
 	lp       *flow.DiffLP
@@ -145,9 +146,24 @@ type Solution struct {
 	Certified      bool
 }
 
-// Build computes regions, classifies endpoints, derives g(t) and
-// assembles the LP. The timing analysis must belong to the circuit.
+// Build is BuildCtx under context.Background().
 func Build(c *netlist.Circuit, t *sta.Timing, cfg Config) (*Graph, error) {
+	return BuildCtx(context.Background(), c, t, cfg)
+}
+
+// BuildCtx computes regions, classifies endpoints and assembles the LP
+// (deriving g(t) for the pseudo nodes when ResilientAware) under an
+// rgraph.build span. The timing analysis must belong to the circuit.
+func BuildCtx(ctx context.Context, c *netlist.Circuit, t *sta.Timing, cfg Config) (g *Graph, err error) {
+	sp, _ := obs.StartSpan(ctx, "rgraph.build")
+	defer func() {
+		if g != nil {
+			sp.Gauge("variables", int64(g.NumVariables()))
+			sp.Gauge("constraints", int64(g.NumConstraints()))
+		}
+		sp.Fail(err)
+		sp.End()
+	}()
 	if err := cfg.Scheme.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,11 +172,11 @@ func Build(c *netlist.Circuit, t *sta.Timing, cfg Config) (*Graph, error) {
 	if v := cfg.EDLCost; math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		return nil, fmt.Errorf("rgraph: %w: EDL cost factor c = %g, want finite and non-negative", ErrBadConfig, v)
 	}
-	g := &Graph{
+	g = &Graph{
 		C: c, T: t, Cfg: cfg,
 		Vm: make(map[int]bool), Vn: make(map[int]bool), Vr: make(map[int]bool),
 		Class:    make(map[int]TargetClass),
-		GT:       make(map[int][]int),
+		cuts:     make(map[int][]int),
 		mirrorOf: make(map[int]int),
 		pseudoOf: make(map[int]int),
 	}
@@ -267,7 +283,7 @@ func (g *Graph) alapR() map[int]int {
 }
 
 // classifyEndpoints labels every master endpoint NeverED / AlwaysED /
-// Target and computes g(t) for the targets.
+// Target.
 func (g *Graph) classifyEndpoints() {
 	period := g.Cfg.Scheme.Period()
 	initial := sta.AnalyzeLatched(g.T, netlist.InitialPlacement(g.C), g.Cfg.Scheme, g.Cfg.Latch)
@@ -280,9 +296,23 @@ func (g *Graph) classifyEndpoints() {
 			g.Class[o.ID] = AlwaysED
 		default:
 			g.Class[o.ID] = Target
-			g.GT[o.ID] = g.cutSet(o)
 		}
 	}
+}
+
+// CutSet returns g(t), sorted node IDs, for the Target output with the
+// given ID, and nil for any other node. Each cut set is computed on its
+// first read and memoised (the Graph is not safe for concurrent use).
+func (g *Graph) CutSet(id int) []int {
+	if g.Class[id] != Target {
+		return nil
+	}
+	cut, ok := g.cuts[id]
+	if !ok {
+		cut = g.cutSet(g.C.Nodes[id])
+		g.cuts[id] = cut
+	}
+	return cut
 }
 
 // cutSet computes g(t) per Eq. (8–9): nodes v in the fan-in cone of t
@@ -416,7 +446,7 @@ func (g *Graph) buildLP() {
 	var targets []int
 	if g.Cfg.ResilientAware {
 		for _, o := range g.C.Outputs {
-			if g.Class[o.ID] == Target && len(g.GT[o.ID]) > 0 {
+			if len(g.CutSet(o.ID)) > 0 {
 				targets = append(targets, o.ID)
 			}
 		}
@@ -503,7 +533,7 @@ func (g *Graph) buildLP() {
 	cScaled := int64(math.Round(g.Cfg.EDLCost * Scale))
 	for _, id := range targets {
 		p := g.pseudoOf[id]
-		for _, gid := range g.GT[id] {
+		for _, gid := range g.CutSet(id) {
 			lp.Constrain(g.varOf[gid], p, 0)
 		}
 		lp.Constrain(p, g.host, 0)
@@ -596,6 +626,42 @@ func (g *Graph) PreflightLP() error {
 		return fmt.Errorf("rgraph: %w", err)
 	}
 	return nil
+}
+
+// Feasible reports whether the LP has a legal retiming at all (see
+// flow.DiffLP.Feasible), without solving it. When it has none, witness
+// names the variables of a negative constraint cycle in cycle order:
+// circuit nodes by name, mirrors as m_<driver>, pseudo nodes as
+// P_<target> and the host as host (the names WriteDOT uses).
+func (g *Graph) Feasible(ctx context.Context) (ok bool, witness []string, err error) {
+	ok, cycle, err := g.lp.Feasible(ctx)
+	if err != nil {
+		return false, nil, fmt.Errorf("rgraph: %w", err)
+	}
+	if len(cycle) == 0 {
+		return ok, nil, nil
+	}
+	names := g.varNames()
+	for _, c := range cycle {
+		witness = append(witness, names[c.V])
+	}
+	return ok, witness, nil
+}
+
+// varNames names every LP variable the way WriteDOT does.
+func (g *Graph) varNames() []string {
+	names := make([]string, g.numVars)
+	names[g.host] = "host"
+	for _, n := range g.C.Nodes {
+		names[g.varOf[n.ID]] = n.Name
+		if m, ok := g.mirrorOf[n.ID]; ok {
+			names[m] = "m_" + n.Name
+		}
+		if p, ok := g.pseudoOf[n.ID]; ok {
+			names[p] = "P_" + n.Name
+		}
+	}
+	return names
 }
 
 // Solve is SolveCtx under context.Background().

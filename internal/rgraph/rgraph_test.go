@@ -1,6 +1,7 @@
 package rgraph
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -77,7 +78,7 @@ func TestFig4Classification(t *testing.T) {
 	}
 	// g(O9) = {G5, G6} (Section IV-A).
 	var names []string
-	for _, id := range g.GT[o9.ID] {
+	for _, id := range g.CutSet(o9.ID) {
 		names = append(names, c.Nodes[id].Name)
 	}
 	sort.Strings(names)
@@ -287,5 +288,69 @@ func TestRandomCloudsSolvable(t *testing.T) {
 	}
 	if solved < 50 {
 		t.Errorf("only %d/60 random clouds solvable; generator or regions too tight", solved)
+	}
+}
+
+// TestCutSetIsLazy: a graph without the P(t) construction computes no
+// cut set, and CutSet computes g(t) on first read and memoises it.
+func TestCutSetIsLazy(t *testing.T) {
+	c, g := fig4Graph(t, false)
+	if len(g.cuts) != 0 {
+		t.Fatalf("Build without ResilientAware computed %d cut sets", len(g.cuts))
+	}
+	o9, _ := c.Node("O9")
+	first := g.CutSet(o9.ID)
+	var names []string
+	for _, id := range first {
+		names = append(names, c.Nodes[id].Name)
+	}
+	if len(names) != 2 || names[0] != "G5" || names[1] != "G6" {
+		t.Fatalf("g(O9) = %v, want [G5 G6]", names)
+	}
+	if again := g.CutSet(o9.ID); &again[0] != &first[0] {
+		t.Error("second CutSet call recomputed g(O9)")
+	}
+	g8, _ := c.Node("G8")
+	if g.CutSet(g8.ID) != nil {
+		t.Error("CutSet of a non-target node is not nil")
+	}
+	if _, g := fig4Graph(t, true); len(g.cuts) != 1 {
+		t.Errorf("G-RAR build computed %d cut sets, want 1 (O9)", len(g.cuts))
+	}
+}
+
+// TestFeasibleWitnessNamesVariables: an infeasible graph names its
+// negative cycle with the variable names WriteDOT uses.
+func TestFeasibleWitnessNamesVariables(t *testing.T) {
+	c, g := fig4Graph(t, true)
+	ok, witness, err := g.Feasible(context.Background())
+	if err != nil || !ok || witness != nil {
+		t.Fatalf("Fig. 4 graph: ok=%v witness=%v err=%v", ok, witness, err)
+	}
+	// Requiring O9 by time 0 pins every edge and bound into conflict.
+	o9, _ := c.Node("O9")
+	tm := g.T
+	g, err = Build(c, tm, Config{
+		Scheme: fig4.Scheme(), Latch: fig4.ZeroLatch(), EDLCost: fig4.EDLOverhead,
+		ResilientAware: true, Required: map[int]float64{o9.ID: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, witness, err = g.Feasible(context.Background())
+	if err != nil || ok || len(witness) == 0 {
+		t.Fatalf("over-constrained graph: ok=%v witness=%v err=%v", ok, witness, err)
+	}
+	names := map[string]bool{"host": true, "m_I2": true, "m_G3": true, "P_O9": true}
+	for _, n := range c.Nodes {
+		names[n.Name] = true
+	}
+	for _, w := range witness {
+		if !names[w] {
+			t.Errorf("witness %v names unknown variable %q", witness, w)
+		}
+	}
+	if _, err := g.Solve(flow.MethodSimplex); err == nil {
+		t.Error("simplex solved a graph Feasible rejected")
 	}
 }

@@ -21,8 +21,11 @@ package vlib
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"sort"
+	"strings"
 	"time"
 
 	"relatch/internal/cert"
@@ -98,11 +101,11 @@ func Retime(cin *netlist.Circuit, opt Options, variant Variant) (*core.Result, e
 	return RetimeCtx(context.Background(), cin, opt, variant)
 }
 
-// RetimeCtx is Retime under a context: the repeated flow solves of the
-// relax-and-retry loop observe cancellation and deadline expiry. Like
-// core.RetimeCtx it ends in the post-solve certification gate, and
-// returns the result alongside a gate error so callers can render the
-// findings.
+// RetimeCtx is Retime under a context: the feasibility probes and the
+// flow solve of the relax search observe cancellation and deadline
+// expiry. Like core.RetimeCtx it ends in the post-solve certification
+// gate, and returns the result alongside a gate error so callers can
+// render the findings.
 func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant Variant) (res *core.Result, err error) {
 	start := time.Now()
 	var attempts int64
@@ -116,8 +119,8 @@ func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant V
 	sp.Attr("variant", variant.String())
 	sp.Attr("circuit", cin.Name)
 	defer func() {
+		sp.Add("attempts", attempts)
 		if res != nil {
-			sp.Add("attempts", attempts)
 			sp.Add("relaxed", int64(res.Relaxed))
 			sp.Add("swaps", int64(res.Swaps))
 			sp.Add("upsized", int64(res.Upsized))
@@ -134,44 +137,49 @@ func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant V
 	tool := synth.New(c, staOpt)
 	latch := lib.BaseLatch
 
-	ed := initialTypes(c, tool.Timing(), opt.Scheme, variant)
-	relaxed := 0
-
 	// The tool retimes for minimum latch count under the type-derived
 	// max-delay constraints; infeasible type assignments are repaired by
 	// flipping the most violating endpoints to error-detecting, the way
 	// the commercial flow "fixes timing violations by switching some
-	// non-error-detecting latches" (Section V).
-	var sol *rgraph.Solution
-	for attempt := 0; ; attempt++ {
+	// non-error-detecting latches" (Section V). The search probes flip
+	// counts with the feasibility check and solves once, on the graph of
+	// the smallest feasible count.
+	relax := newRelaxation(c, tool.Timing(), opt, variant)
+	var (
+		g       *rgraph.Graph
+		witness []string // the last infeasible probe's negative cycle
+	)
+	relaxed, found, err := searchFlips(len(relax.order), func(k int) (bool, error) {
 		attempts++
-		g, err := rgraph.Build(c, tool.Timing(), rgraph.Config{
-			Scheme:         opt.Scheme,
-			Latch:          latch,
-			EDLCost:        opt.EDLCost,
-			ResilientAware: false,
-			// The virtual library rides the commercial tool's own
-			// retiming command, which shares the baseline's minimum-
-			// perturbation behavior; only the latch-type-derived
-			// required times differ.
-			MovementPrimary: true,
-			Required:        synth.RequiredTimes(c, opt.Scheme, ed),
-		})
+		pg, err := relax.graph(ctx, k)
 		if err != nil {
-			return nil, fmt.Errorf("vlib: %v: %w", variant, err)
+			return false, err
 		}
-		sol, err = g.SolveCtx(ctx, opt.Method)
-		if err == nil {
-			break
+		ok, cycle, err := pg.Feasible(ctx)
+		if ok {
+			g = pg
+		} else if err == nil {
+			witness = cycle
 		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("vlib: %v: %w", variant, err)
-		}
-		flipped := relaxWorst(c, tool.Timing(), opt.Scheme, ed)
-		if flipped == 0 || attempt > len(c.Outputs) {
-			return nil, fmt.Errorf("vlib: %v: retiming infeasible even fully error-detecting: %w", variant, err)
-		}
-		relaxed += flipped
+		return ok, err
+	})
+	if len(witness) > 0 {
+		sp.Gauge("witness_length", int64(len(witness)))
+		sp.Attr("witness", strings.Join(witness, " → "))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("vlib: %v: %w", variant, err)
+	}
+	if !found {
+		return nil, fmt.Errorf("vlib: %v: %w: retiming infeasible even fully error-detecting", variant, flow.ErrInfeasible)
+	}
+	ed := relax.types(relaxed)
+	sol, err := g.SolveCtx(ctx, opt.Method)
+	if errors.Is(err, flow.ErrInfeasible) || errors.Is(err, flow.ErrUnbounded) {
+		return nil, fmt.Errorf("vlib: %v: %w: the solver rejected a graph the feasibility check accepted: %v", variant, flow.ErrInternal, err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("vlib: %v: %w", variant, err)
 	}
 	p := sol.Placement
 
@@ -241,25 +249,105 @@ func NewResult(c *netlist.Circuit, opt Options, variant Variant, p *netlist.Plac
 	return res
 }
 
-// relaxWorst flips the non-ED endpoint with the worst unlatched arrival
-// to error-detecting; returns the number of flips (0 or 1).
-func relaxWorst(c *netlist.Circuit, tm *sta.Timing, s clocking.Scheme, ed map[int]bool) int {
-	var worst *netlist.Node
-	worstArr := 0.0
+// relaxation is the flip-count search space of one run: the initial
+// latch types, the graph configuration every probe shares, and the
+// order in which endpoints flip to error-detecting.
+type relaxation struct {
+	c     *netlist.Circuit
+	tm    *sta.Timing
+	cfg   rgraph.Config
+	ed    map[int]bool
+	order []*netlist.Node
+}
+
+func newRelaxation(c *netlist.Circuit, tm *sta.Timing, opt Options, variant Variant) *relaxation {
+	ed := initialTypes(c, tm, opt.Scheme, variant)
+	return &relaxation{
+		c:  c,
+		tm: tm,
+		cfg: rgraph.Config{
+			Scheme:         opt.Scheme,
+			Latch:          c.Lib.BaseLatch,
+			EDLCost:        opt.EDLCost,
+			ResilientAware: false,
+			// The virtual library rides the commercial tool's own
+			// retiming command, which shares the baseline's minimum-
+			// perturbation behavior; only the latch-type-derived
+			// required times differ.
+			MovementPrimary: true,
+		},
+		ed:    ed,
+		order: flipOrder(c, tm, ed),
+	}
+}
+
+// flipOrder lists the endpoints the repair flips, first flip first:
+// non-error-detecting endpoints by unlatched arrival, worst first, ties
+// in c.Outputs order; an endpoint arriving at or before 0 never flips.
+// Timing does not change while the flow retimes, so this is the order
+// of flipping the worst remaining endpoint one at a time.
+func flipOrder(c *netlist.Circuit, tm *sta.Timing, ed map[int]bool) []*netlist.Node {
+	var order []*netlist.Node
 	for _, o := range c.Outputs {
-		if ed[o.ID] {
-			continue
-		}
-		if a := tm.Arrival(o); a > worstArr {
-			worstArr = a
-			worst = o
+		if !ed[o.ID] && tm.Arrival(o) > 0 {
+			order = append(order, o)
 		}
 	}
-	if worst == nil {
-		return 0
+	sort.SliceStable(order, func(i, j int) bool { return tm.Arrival(order[i]) > tm.Arrival(order[j]) })
+	return order
+}
+
+// types returns the latch types after the first k flips.
+func (r *relaxation) types(k int) map[int]bool {
+	ed := maps.Clone(r.ed)
+	for _, o := range r.order[:k] {
+		ed[o.ID] = true
 	}
-	ed[worst.ID] = true
-	return 1
+	return ed
+}
+
+// graph builds the retiming graph after the first k flips.
+func (r *relaxation) graph(ctx context.Context, k int) (*rgraph.Graph, error) {
+	cfg := r.cfg
+	cfg.Required = synth.RequiredTimes(r.c, cfg.Scheme, r.types(k))
+	return rgraph.BuildCtx(ctx, r.c, r.tm, cfg)
+}
+
+// searchFlips returns the smallest k in 0..n with feasible(k), or
+// found == false when not even n is feasible. A flip only raises one
+// required time from Π to Π+φ1, which can only drop edge pins and
+// loosen bounds, so feasibility is monotone in k: the search probes
+// k = 0, 1, 2, 4, … (capped at n) until one is feasible, then bisects
+// the last gap, using at most 2⌈log₂(k+1)⌉+2 probes. An oracle error
+// ends the search with that error.
+func searchFlips(n int, feasible func(k int) (bool, error)) (k int, found bool, err error) {
+	lo, hi := -1, 0 // lo: largest known infeasible; hi: next probe
+	for {
+		ok, err := feasible(hi)
+		if err != nil {
+			return 0, false, err
+		}
+		if ok {
+			break
+		}
+		if hi == n {
+			return 0, false, nil
+		}
+		lo, hi = hi, min(max(2*hi, 1), n)
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		ok, err := feasible(mid)
+		if err != nil {
+			return 0, false, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, true, nil
 }
 
 func filterTrue(m map[int]bool) []int {
