@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -21,16 +22,16 @@ import (
 // when rows gain/lose columns or the envelope changes shape. v3 made
 // solver/fallback unconditionally present: omitempty on solver meant
 // vlib rows (which have no LP solver) silently dropped the column, so
-// the row schema depended on the approach.
-const benchSchemaVersion = 3
+// the row schema depended on the approach. v4 dropped wall_ms: timing
+// is relbench's job, and every remaining column is deterministic.
+const benchSchemaVersion = 4
 
 // benchRow is one benchmark×approach measurement of the bench-json mode.
-// Everything except wall_ms is deterministic for a given build, so
-// committed snapshots diff cleanly on the columns that matter.
+// Every column is deterministic for a given build, so a rebuilt table
+// diffs byte-equal against the committed snapshot.
 type benchRow struct {
 	Bench         string  `json:"bench"`
 	Approach      string  `json:"approach"`
-	WallMS        float64 `json:"wall_ms"`
 	Pivots        int64   `json:"pivots"`
 	Augmentations int64   `json:"augmentations"`
 	Solver        string  `json:"solver"`
@@ -121,15 +122,21 @@ func runBenchJSON(ctx context.Context, o options) error {
 		return err
 	}
 	for _, row := range rows {
-		fmt.Fprintf(os.Stderr, "%-8s %-7s %8.1f ms  pivots=%-6d augmentations=%-6d seq_area=%.2f\n",
-			row.Bench, row.Approach, row.WallMS, row.Pivots, row.Augmentations, row.SeqArea)
+		fmt.Fprintf(os.Stderr, "%-8s %-7s pivots=%-6d augmentations=%-6d seq_area=%.2f\n",
+			row.Bench, row.Approach, row.Pivots, row.Augmentations, row.SeqArea)
 	}
 	if stats.Cache.Hits+stats.Cache.DiskHits > 0 || o.cacheDir != "" {
 		fmt.Fprintf(os.Stderr, "engine cache: %d memory hits, %d disk hits, %d misses, %d stored, %d evicted, %d poisoned\n",
 			stats.Cache.Hits, stats.Cache.DiskHits, stats.Cache.Misses,
 			stats.Cache.Stores, stats.Cache.Evictions, stats.Cache.Poisoned)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	return writeBenchDoc(os.Stdout, rows)
+}
+
+// writeBenchDoc encodes the rows in their versioned envelope, the
+// BENCH_pipeline.json layout.
+func writeBenchDoc(w io.Writer, rows []benchRow) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(benchDoc{SchemaVersion: benchSchemaVersion, Rows: rows})
 }
@@ -212,7 +219,6 @@ func benchSweep(ctx context.Context, o options) ([]benchRow, engine.Stats, error
 		rows = append(rows, benchRow{
 			Bench:         cl.prof.Name,
 			Approach:      sum.Approach,
-			WallMS:        float64(out.Runtime.Microseconds()) / 1000,
 			Pivots:        rep.Sum("flow.simplex", "pivots"),
 			Augmentations: rep.Sum("flow.ssp", "augmenting_paths"),
 			Solver:        sum.Solver,

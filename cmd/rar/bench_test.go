@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -19,21 +20,19 @@ func sweepOptions(benches, approaches string, jobs int) options {
 	}
 }
 
-// stripWall zeroes the columns that legitimately vary run to run, so the
-// rest of the row can be compared exactly.
-func stripWall(rows []benchRow) []benchRow {
-	out := make([]benchRow, len(rows))
-	for i, r := range rows {
-		r.WallMS = 0
-		r.Cache = ""
-		out[i] = r
+// benchJSON encodes a sweep's rows the way -bench-json prints them.
+func benchJSON(t *testing.T, rows []benchRow) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := writeBenchDoc(&b, rows); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return b.Bytes()
 }
 
 // TestBenchSweepParallelMatchesSerial is the -bench-json acceptance
-// check: -j 8 must produce row-identical output to -j 1 (wall time and
-// cache provenance aside).
+// check: the -j 8 document must be byte-identical to the -j 1 one. The
+// plain-diff make bench-check gate relies on exactly this.
 func TestBenchSweepParallelMatchesSerial(t *testing.T) {
 	const benches, approaches = "s1196", "grar,base,nvl"
 	serial, _, err := benchSweep(context.Background(), sweepOptions(benches, approaches, 1))
@@ -47,22 +46,19 @@ func TestBenchSweepParallelMatchesSerial(t *testing.T) {
 	if len(serial) != 3 {
 		t.Fatalf("rows = %d, want 3", len(serial))
 	}
-	s, p := stripWall(serial), stripWall(parallel)
-	for i := range s {
-		if s[i] != p[i] {
-			t.Errorf("row %d differs:\n serial   %+v\n parallel %+v", i, s[i], p[i])
-		}
+	if s, p := benchJSON(t, serial), benchJSON(t, parallel); !bytes.Equal(s, p) {
+		t.Errorf("-j 8 document differs from -j 1:\n--- serial\n%s--- parallel\n%s", s, p)
 	}
 	// Rows come out sorted by (bench, approach) regardless of the
 	// submission order grar,base,nvl.
-	for i := 1; i < len(s); i++ {
-		if s[i-1].Bench > s[i].Bench ||
-			(s[i-1].Bench == s[i].Bench && s[i-1].Approach >= s[i].Approach) {
+	for i := 1; i < len(serial); i++ {
+		if serial[i-1].Bench > serial[i].Bench ||
+			(serial[i-1].Bench == serial[i].Bench && serial[i-1].Approach >= serial[i].Approach) {
 			t.Errorf("rows not sorted: %q/%q before %q/%q",
-				s[i-1].Bench, s[i-1].Approach, s[i].Bench, s[i].Approach)
+				serial[i-1].Bench, serial[i-1].Approach, serial[i].Bench, serial[i].Approach)
 		}
 	}
-	for _, r := range s {
+	for _, r := range serial {
 		if r.Slaves <= 0 || r.SeqArea <= 0 {
 			t.Errorf("degenerate row %+v", r)
 		}
@@ -96,12 +92,12 @@ func TestBenchSweepCacheHits(t *testing.T) {
 	if stats.Cache.DiskHits != int64(len(warm)) {
 		t.Errorf("disk hits = %d, want %d", stats.Cache.DiskHits, len(warm))
 	}
-	c, w := stripWall(cold), stripWall(warm)
-	for i := range c {
-		// Cold rows carry solver provenance the restored rows rederive.
-		c[i].Pivots, c[i].Augmentations = 0, 0
-		if c[i] != w[i] {
-			t.Errorf("warm row %d differs from cold:\n cold %+v\n warm %+v", i, c[i], w[i])
+	for i, c := range cold {
+		// Cold rows carry solver effort and no cache provenance.
+		w := warm[i]
+		c.Pivots, c.Augmentations, w.Cache = 0, 0, ""
+		if c != w {
+			t.Errorf("warm row %d differs from cold:\n cold %+v\n warm %+v", i, c, w)
 		}
 	}
 }

@@ -113,15 +113,6 @@ func runServe(ctx context.Context, o options) error {
 		return err
 	}
 	defer d.Close()
-	coll, err := engine.NewCollector(engine.CollectorConfig{
-		Engine:  eng,
-		Queue:   q,
-		Metrics: metrics,
-	})
-	if err != nil {
-		return err
-	}
-	defer coll.Close()
 	srv, err := engine.NewServer(engine.ServerConfig{
 		Durable:        d,
 		Tracer:         tr,

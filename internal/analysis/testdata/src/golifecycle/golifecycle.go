@@ -78,7 +78,7 @@ func (p *Pump) leak() {
 	println("leaking")
 }
 
-// Collector mirrors the engine.Collector shape: a constructor spawns a
+// Collector is the background-sampler shape: a constructor spawns a
 // ticker loop joined by WaitGroup Done plus a ctx-bound receive, and
 // Close cancels and waits. Both join signals are sanctioned; the spawn
 // must not be flagged.

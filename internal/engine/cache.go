@@ -161,7 +161,7 @@ func (c *Cache) peerFetcher() PeerFetcher {
 }
 
 // Len returns the number of entries currently resident in the memory
-// layer. The serving collector samples it as a gauge.
+// layer: the relatch_cache_entries gauge, read at scrape time.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -394,11 +394,11 @@ func TestClusterAuthPaths(t *testing.T) {
 	n := nodes[0]
 	body := fmt.Sprintf(`{"approach":"grar","verilog":%q}`, testSource)
 
-	do := func(token string) *http.Response {
+	do := func(authz string) *http.Response {
 		req, _ := http.NewRequest(http.MethodPost, n.ts.URL+"/jobs", strings.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
+		if authz != "" {
+			req.Header.Set("Authorization", authz)
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -411,17 +411,21 @@ func TestClusterAuthPaths(t *testing.T) {
 	if resp := do(""); resp.StatusCode != http.StatusUnauthorized || resp.Header.Get("WWW-Authenticate") == "" {
 		t.Fatalf("no token: %d (WWW-Authenticate %q)", resp.StatusCode, resp.Header.Get("WWW-Authenticate"))
 	}
-	if resp := do("tok-wrong"); resp.StatusCode != http.StatusUnauthorized {
+	if resp := do("Bearer tok-wrong"); resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("bad token: %d, want 401", resp.StatusCode)
 	}
-	if resp := do("tok-ci"); resp.StatusCode != http.StatusAccepted {
+	if resp := do("Bearer tok-ci"); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("valid token: %d, want 202", resp.StatusCode)
 	}
+	// The auth-scheme is case-insensitive (RFC 7235 §2.1).
+	if resp := do("bearer tok-ci"); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid token, lower-case scheme: %d, want 202", resp.StatusCode)
+	}
 	// Exhaust the tiny client's single-token burst.
-	if resp := do("tok-tiny"); resp.StatusCode != http.StatusAccepted {
+	if resp := do("Bearer tok-tiny"); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tiny first request: %d, want 202", resp.StatusCode)
 	}
-	if resp := do("tok-tiny"); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+	if resp := do("Bearer tok-tiny"); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("tiny second request: %d (Retry-After %q), want 429", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 
@@ -443,8 +447,8 @@ func TestClusterAuthPaths(t *testing.T) {
 	if got := n.st.metrics.Counter(obs.Label(obs.MetricClusterAuth, "result", "rate_limited")); got != 1 {
 		t.Errorf("rate_limited counter = %d, want 1", got)
 	}
-	if used := auth.Used("ci"); used != 1 {
-		t.Errorf("Used(ci) = %d, want 1", used)
+	if used := auth.Used("ci"); used != 2 {
+		t.Errorf("Used(ci) = %d, want 2", used)
 	}
 }
 

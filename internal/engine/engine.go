@@ -263,7 +263,7 @@ func (e *Engine) Saturated() bool { return len(e.sem) == cap(e.sem) }
 func (e *Engine) Workers() int { return cap(e.sem) }
 
 // WorkersBusy returns how many worker slots are occupied right now —
-// a point-in-time sample for the gauge collector.
+// the relatch_engine_workers_busy gauge, read at scrape time.
 func (e *Engine) WorkersBusy() int { return len(e.sem) }
 
 // CachedOutcome returns a validated cached outcome for the job without

@@ -179,7 +179,11 @@ func (s *Server) withAuth(next http.HandlerFunc) http.HandlerFunc {
 			next(w, r)
 			return
 		}
-		token := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
+		// The auth-scheme is case-insensitive (RFC 7235 §2.1).
+		token := r.Header.Get("Authorization")
+		if scheme, cred, ok := strings.Cut(token, " "); ok && strings.EqualFold(scheme, "Bearer") {
+			token = cred
+		}
 		client, err := a.Admit(token, time.Now())
 		switch {
 		case errors.Is(err, cluster.ErrUnauthorized):
@@ -508,11 +512,15 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
+// handleMetrics renders the tracer report and the registry, then the
+// engine counters and the point-in-time gauges, read from Stats at
+// scrape time so each gauge has one writer and one definition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.cfg.Tracer.Report().WriteMetrics(w)
 	s.cfg.Metrics.WriteMetrics(w)
-	st := s.cfg.Durable.Engine().Stats()
+	eng := s.cfg.Durable.Engine()
+	st := eng.Stats()
 	fmt.Fprintf(w, "relatch_engine_jobs_total{outcome=\"completed\"} %d\n", st.Completed)
 	fmt.Fprintf(w, "relatch_engine_jobs_total{outcome=\"failed\"} %d\n", st.Failed)
 	fmt.Fprintf(w, "relatch_engine_submitted_total %d\n", st.Submitted)
@@ -525,6 +533,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "relatch_engine_cache_total{event=\"poisoned\"} %d\n", st.Cache.Poisoned)
 	fmt.Fprintf(w, "relatch_engine_cache_total{event=\"peer_hit\"} %d\n", st.Cache.PeerHits)
 	fmt.Fprintf(w, "relatch_engine_cache_total{event=\"peer_rejected\"} %d\n", st.Cache.PeerRejected)
+	fmt.Fprintf(w, "relatch_engine_workers %d\n", eng.Workers())
+	fmt.Fprintf(w, "relatch_engine_workers_busy %d\n", eng.WorkersBusy())
+	fmt.Fprintf(w, "relatch_cache_entries %d\n", eng.Cache().Len())
+	qs := s.cfg.Durable.Queue().Stats()
+	fmt.Fprintf(w, "relatch_queue_depth %d\n", qs.Depth)
+	fmt.Fprintf(w, "relatch_queue_leased %d\n", qs.Leased)
+	fmt.Fprintf(w, "relatch_queue_retrying %d\n", qs.Retrying)
+	fmt.Fprintf(w, "relatch_queue_done %d\n", qs.Done)
+	fmt.Fprintf(w, "relatch_queue_dead %d\n", qs.Dead)
 }
 
 // BuildJob turns an API request into an engine job: build the circuit,

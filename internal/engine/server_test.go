@@ -452,6 +452,88 @@ func TestServerMetrics(t *testing.T) {
 	}
 }
 
+// TestServerMetricsGaugesAtScrapeTime pins the point-in-time gauges to
+// one writer: with 2 queued, 1 leased and 1 done job, each gauge renders
+// exactly once, at the value Stats reports.
+func TestServerMetricsGaugesAtScrapeTime(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	ts, st := newTestServer(t, func(cfg *Config, _ *queue.Config, _ *DurableConfig) {
+		cfg.Workers = 1
+		cfg.SolveOverride = func(ctx context.Context, job Job) (*Outcome, error) {
+			select {
+			case <-block:
+			case <-ctx.Done():
+			}
+			return nil, fmt.Errorf("test solve aborted: %v", ctx.Err())
+		}
+	})
+	// The pump's only lease loop takes the first job and blocks in it.
+	postJob(t, ts, JobRequest{Verilog: testSource, Approach: "grar", PivotLimit: 1})
+	deadline := time.Now().Add(10 * time.Second)
+	for st.q.Stats().Leased != 1 || st.eng.WorkersBusy() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never leased")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// With the pump busy, settle one job by hand, then queue two more.
+	if _, err := st.q.Enqueue("k-done", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	j, ok, err := st.q.Lease()
+	if err != nil || !ok {
+		t.Fatalf("lease: %v, %v", ok, err)
+	}
+	if err := st.q.Complete(j.ID, j.Lease, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= 3; i++ {
+		if _, resp := postJob(t, ts, JobRequest{Verilog: testSource, Approach: "grar", PivotLimit: i}); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d returned %d", i, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	text := buf.String()
+	if err := obs.ValidateMetrics(strings.NewReader(text)); err != nil {
+		t.Errorf("metrics page does not scrape cleanly: %v", err)
+	}
+	qs := st.q.Stats()
+	for _, g := range []struct {
+		name      string
+		got, want int
+	}{
+		{"relatch_queue_depth", qs.Depth, 3},
+		{"relatch_queue_leased", qs.Leased, 1},
+		{"relatch_queue_retrying", qs.Retrying, 0},
+		{"relatch_queue_done", qs.Done, 1},
+		{"relatch_queue_dead", qs.Dead, 0},
+		{"relatch_engine_workers", st.eng.Workers(), 1},
+		{"relatch_engine_workers_busy", st.eng.WorkersBusy(), 1},
+		{"relatch_cache_entries", st.eng.Cache().Len(), 0},
+	} {
+		if g.got != g.want {
+			t.Errorf("Stats: %s = %d, want %d", g.name, g.got, g.want)
+		}
+		var lines []string
+		for _, l := range strings.Split(text, "\n") {
+			if strings.HasPrefix(l, g.name+" ") {
+				lines = append(lines, l)
+			}
+		}
+		if want := fmt.Sprintf("%s %d", g.name, g.got); len(lines) != 1 || lines[0] != want {
+			t.Errorf("metrics render %s as %q, want exactly [%q]", g.name, lines, want)
+		}
+	}
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	cases := []struct {

@@ -26,9 +26,8 @@ func DefaultLatencyBuckets() []float64 {
 // Histogram is a fixed-bucket latency histogram with a lock-free record
 // path: Observe is a binary search plus three atomic adds, safe for
 // concurrent use and for nil receivers (no-op), matching the Span/
-// Registry conventions. Quantiles are estimated Prometheus-style by
-// linear interpolation inside the winning bucket, and the series render
-// in Prometheus text exposition (`_bucket`/`_sum`/`_count`).
+// Registry conventions. The series render in Prometheus text exposition
+// (`_bucket`/`_sum`/`_count`); quantiles are the scraper's job.
 type Histogram struct {
 	name   string
 	bounds []float64 // upper bounds in seconds, strictly ascending
@@ -128,47 +127,6 @@ func (h *Histogram) snapshotCounts() ([]int64, int64) {
 	return counts, total
 }
 
-// Quantile estimates the q-th quantile (0 < q ≤ 1) by linear
-// interpolation inside the bucket containing the target rank — the
-// same estimate a Prometheus histogram_quantile produces. It returns 0
-// for an empty histogram (never NaN), and observations in the +Inf
-// bucket clamp to the largest finite bound.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	counts, total := h.snapshotCounts()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := float64(0)
-	for i, c := range counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		upper := h.bounds[len(h.bounds)-1]
-		if i < len(h.bounds) {
-			upper = h.bounds[i]
-		}
-		lower := float64(0)
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		if upper < lower {
-			upper = lower
-		}
-		sec := lower + (upper-lower)*(rank-prev)/float64(c)
-		return time.Duration(sec * float64(time.Second))
-	}
-	return time.Duration(h.bounds[len(h.bounds)-1] * float64(time.Second))
-}
-
 // splitMetricName splits a registered name into its base and any
 // literal label set: `x_seconds{stage="solve"}` → ("x_seconds",
 // `stage="solve"`). The bucket series merges `le` into that label set.
@@ -224,18 +182,4 @@ func (h *Histogram) writeSeries(w io.Writer) error {
 	b.WriteString("\n")
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteMetrics renders the histogram standalone — a `# TYPE` line plus
-// its series — for callers (cmd/loadgen) using a histogram outside a
-// Registry.
-func (h *Histogram) WriteMetrics(w io.Writer) error {
-	if h == nil {
-		return nil
-	}
-	base, _ := splitMetricName(h.name)
-	if _, err := io.WriteString(w, "# TYPE "+base+" histogram\n"); err != nil {
-		return err
-	}
-	return h.writeSeries(w)
 }

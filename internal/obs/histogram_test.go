@@ -45,41 +45,8 @@ func TestHistogramBadBoundsFallBack(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 || h.Name() != "" {
+	if h.Count() != 0 || h.Sum() != 0 || h.Name() != "" {
 		t.Fatal("nil histogram accessors must be zero no-ops")
-	}
-	if err := h.WriteMetrics(&strings.Builder{}); err != nil {
-		t.Fatalf("nil WriteMetrics: %v", err)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram("h_seconds", []float64{0.010, 0.020, 0.040})
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile must be 0")
-	}
-	// 100 observations uniformly inside (10ms, 20ms]: the estimator
-	// interpolates linearly between the bucket bounds.
-	for i := 0; i < 100; i++ {
-		h.Observe(15 * time.Millisecond)
-	}
-	p50 := h.Quantile(0.50)
-	if p50 < 14*time.Millisecond || p50 > 16*time.Millisecond {
-		t.Errorf("p50 = %v, want ≈15ms", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 19*time.Millisecond || p99 > 20*time.Millisecond {
-		t.Errorf("p99 = %v, want just under 20ms", p99)
-	}
-	// An observation past the last bound clamps to the largest finite
-	// bound rather than reporting +Inf.
-	h2 := NewHistogram("h_seconds", []float64{0.010})
-	h2.Observe(time.Hour)
-	if got := h2.Quantile(1); got != 10*time.Millisecond {
-		t.Errorf("+Inf quantile = %v, want clamp to 10ms", got)
-	}
-	if got := h2.Quantile(0); got != 0 {
-		t.Errorf("Quantile(0) = %v, want 0", got)
 	}
 }
 

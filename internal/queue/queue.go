@@ -147,9 +147,9 @@ type Config struct {
 	// RetainTerminal bounds how many done/dead jobs stay inspectable;
 	// ≤ 0 means 1024.
 	RetainTerminal int
-	// Metrics, when non-nil, receives relatch_queue_* counters/gauges
-	// on every transition, plus the lease-hold and retry-delay
-	// histograms.
+	// Metrics, when non-nil, receives relatch_queue_* counters on every
+	// transition, plus the lease-hold and retry-delay histograms. The
+	// point-in-time counts are Stats, read at scrape time.
 	Metrics *obs.Registry
 	// Events, when non-nil, receives a "stage" StreamEvent (scope =
 	// job ID) on every lifecycle transition: queued, leased, done,
@@ -260,7 +260,6 @@ func Open(cfg Config) (*Queue, error) {
 	q.hLeaseHold = cfg.Metrics.Histogram("relatch_queue_lease_hold_seconds")
 	q.hRetryDelay = cfg.Metrics.Histogram("relatch_queue_retry_delay_seconds")
 	if cfg.Dir == "" {
-		q.updateGaugesLocked()
 		return q, nil
 	}
 	unlock, err := acquireLock(cfg.Dir)
@@ -307,7 +306,6 @@ func Open(cfg Config) (*Queue, error) {
 		q.closeLocked()
 		return nil, err
 	}
-	q.updateGaugesLocked()
 	return q, nil
 }
 
@@ -560,7 +558,6 @@ func (q *Queue) Enqueue(key string, payload []byte) (Job, error) {
 	q.counts.Enqueued++
 	q.cfg.Metrics.Add(`relatch_queue_jobs_total{event="enqueued"}`, 1)
 	q.publishStageLocked(jb.ID, "queued")
-	q.updateGaugesLocked()
 	if err := q.maybeCompactLocked(); err != nil {
 		return Job{}, err
 	}
@@ -605,7 +602,6 @@ func (q *Queue) Lease() (Job, bool, error) {
 		jb.LeasedAt = now
 		q.cfg.Metrics.Add(`relatch_queue_jobs_total{event="leased"}`, 1)
 		q.publishStageLocked(jb.ID, "leased")
-		q.updateGaugesLocked()
 		if err := q.maybeCompactLocked(); err != nil {
 			return Job{}, false, err
 		}
@@ -654,7 +650,6 @@ func (q *Queue) Complete(id string, lease uint64, provenance []byte) error {
 	q.cfg.Metrics.Add(`relatch_queue_jobs_total{event="completed"}`, 1)
 	q.publishStageLocked(jb.ID, "done")
 	q.trimTerminalLocked()
-	q.updateGaugesLocked()
 	return q.maybeCompactLocked()
 }
 
@@ -690,7 +685,6 @@ func (q *Queue) Requeue(id, cause string) (Job, error) {
 	jb.Provenance = nil
 	q.cfg.Metrics.Add(`relatch_queue_jobs_total{event="requeued"}`, 1)
 	q.publishStageLocked(id, "queued")
-	q.updateGaugesLocked()
 	return jb.Job, q.maybeCompactLocked()
 }
 
@@ -762,7 +756,6 @@ func (q *Queue) failLocked(jb *job, cause string) error {
 	q.counts.Retries++
 	q.cfg.Metrics.Add("relatch_queue_retries_total", 1)
 	q.publishStageLocked(jb.ID, "retrying")
-	q.updateGaugesLocked()
 	return q.maybeCompactLocked()
 }
 
@@ -784,7 +777,6 @@ func (q *Queue) markDeadLocked(jb *job, attempts int, cause string) error {
 	q.cfg.Metrics.Add("relatch_queue_dead_total", 1)
 	q.publishStageLocked(jb.ID, "dead")
 	q.trimTerminalLocked()
-	q.updateGaugesLocked()
 	return q.maybeCompactLocked()
 }
 
@@ -919,24 +911,6 @@ func (q *Queue) Stats() Stats {
 	s.Depth = s.Queued + s.Retrying + s.Leased
 	s.Capacity = q.cfg.Capacity
 	return s
-}
-
-// updateGaugesLocked publishes the depth gauges after a transition.
-func (q *Queue) updateGaugesLocked() {
-	if q.cfg.Metrics == nil {
-		return
-	}
-	queued, leased := 0, 0
-	for _, id := range q.order {
-		switch q.jobs[id].State {
-		case StateQueued:
-			queued++
-		case StateLeased:
-			leased++
-		}
-	}
-	q.cfg.Metrics.Set("relatch_queue_depth", int64(queued+leased))
-	q.cfg.Metrics.Set("relatch_queue_leased", int64(leased))
 }
 
 func errString(err error) string {
