@@ -40,7 +40,7 @@ import (
 // don't run per iteration). Surviving audited sites live in the
 // allowlist file (cmd/relint -allow, default
 // internal/analysis/hotalloc.allow), keyed "file:func:kind:detail" —
-// e.g. "simplex.go:SolveSimplexCtx:append:chain". Unused allowlist
+// e.g. "simplex.go:SolveSimplexCtx:append:buf". Unused allowlist
 // keys are findings too, so the file can't rot.
 var hotFuncs = []string{"SolveSimplexCtx", "SolveSSPCtx", "Feasible"}
 

@@ -259,7 +259,7 @@ func Retime(c *netlist.Circuit, opt Options, approach Approach) (*Result, error)
 // RetimeCtx is Retime under a context: the flow solve — the long pole of
 // a retiming run — observes cancellation and deadline expiry, surfacing
 // them as errors wrapping ctx.Err().
-func RetimeCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach Approach) (*Result, error) {
+func RetimeCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach Approach) (res *Result, err error) {
 	start := time.Now()
 	if c == nil {
 		return nil, fmt.Errorf("core: %w: nil circuit", ErrBadInput)
@@ -268,7 +268,10 @@ func RetimeCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach Ap
 		return nil, err
 	}
 	sp, ctx := obs.StartSpan(ctx, "core.retime")
-	defer sp.End()
+	defer func() {
+		sp.Fail(err)
+		sp.End()
+	}()
 	sp.Attr("approach", approach.String())
 	sp.Attr("circuit", c.Name)
 	staOpt := staOptions(c, opt)
@@ -312,7 +315,7 @@ func RetimeCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach Ap
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", approach, err)
 	}
-	res := evaluate(ctx, c, opt, approach.String(), sol.Placement, latch)
+	res = evaluate(ctx, c, opt, approach.String(), sol.Placement, latch)
 	res.Trace = obs.FromContext(ctx).Report()
 	res.RecordSolve(sol)
 	res.Classes = make(map[rgraph.TargetClass]int)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"relatch/internal/bench"
@@ -104,6 +105,43 @@ func TestRetimeTraceFallback(t *testing.T) {
 	}
 	if reason := solves[0].AttrValue("fallback_reason"); reason != res.FallbackReason {
 		t.Errorf("trace reason %q != result reason %q", reason, res.FallbackReason)
+	}
+	if e := solves[0].AttrValue("error"); e != "" {
+		t.Errorf("flow.solve carries error %q, but SSP rescued the solve", e)
+	}
+}
+
+// TestRetimeTraceSolveError: a simplex-only solve that runs out of
+// pivots has no SSP rescue, and the error lands on every span of the
+// solve chain, from core.retime down to flow.simplex.
+func TestRetimeTraceSolveError(t *testing.T) {
+	lib := cell.Default(1.0)
+	prof, ok := bench.ProfileByName("s1196")
+	if !ok {
+		t.Fatal("s1196 profile missing")
+	}
+	c, scheme, err := prof.Build(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := obs.New("test")
+	ctx := obs.WithTracer(context.Background(), tr)
+	opt := Options{Scheme: scheme, EDLCost: 1.0, Method: flow.MethodSimplex, PivotLimit: 1}
+	if _, err := RetimeCtx(ctx, c, opt, ApproachGRAR); !errors.Is(err, flow.ErrPivotLimit) {
+		t.Fatalf("err = %v, want one wrapping flow.ErrPivotLimit", err)
+	}
+	tr.Finish()
+	r := tr.Report()
+	for _, name := range []string{"core.retime", "rgraph.solve", "flow.difflp", "flow.solve", "flow.simplex"} {
+		spans := r.Spans(name)
+		if len(spans) != 1 {
+			t.Errorf("%s spans = %d, want 1", name, len(spans))
+			continue
+		}
+		if spans[0].AttrValue("error") == "" {
+			t.Errorf("%s carries no error attribute", name)
+		}
 	}
 }
 

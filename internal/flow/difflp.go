@@ -185,14 +185,16 @@ func (l *DiffLP) Preflight() error {
 // SolveCtx lowers the program to its dual transshipment network, solves
 // it with the selected method (hardened fallback under MethodAuto), and
 // reads the optimal r values off the node potentials.
-func (l *DiffLP) SolveCtx(ctx context.Context, method Method) (*Result, error) {
+func (l *DiffLP) SolveCtx(ctx context.Context, method Method) (res *Result, err error) {
 	sp, ctx := obs.StartSpan(ctx, "flow.difflp")
-	defer sp.End()
+	defer func() {
+		sp.Fail(err)
+		sp.End()
+	}()
 	sp.Gauge("variables", int64(l.n))
 	sp.Gauge("constraints", int64(len(l.cons)))
 	nw, perm, err := l.lower()
 	if err != nil {
-		sp.Fail(err)
 		return nil, err
 	}
 	nw.SetPivotLimit(l.pivotLimit)
@@ -206,7 +208,7 @@ func (l *DiffLP) SolveCtx(ctx context.Context, method Method) (*Result, error) {
 	for v := 0; v < l.n; v++ {
 		r[v] = sol.Potential[perm[v]] - base
 	}
-	res := &Result{
+	res = &Result{
 		R:              r,
 		Method:         rep.Solver,
 		Fallback:       rep.Fallback,

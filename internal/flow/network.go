@@ -7,8 +7,9 @@
 // optimal flow.
 //
 // Two independent solvers are provided — the network simplex method (the
-// paper's choice) and successive shortest paths — and are cross-checked
-// against each other in tests. Potentials are extracted uniformly from
+// paper's choice, over a thread-indexed spanning tree; see simplex.go)
+// and successive shortest paths — and are cross-checked against each
+// other in tests. Potentials are extracted uniformly from
 // the residual graph of the optimal flow, so both solvers yield identical
 // duals.
 package flow

@@ -21,10 +21,149 @@ const (
 // method (the solver the paper uses, Section IV-D): a big-M artificial
 // star forms the initial spanning-tree basis, entering arcs are chosen by
 // block search over reduced costs (falling back to Bland's rule under
-// long degenerate runs, which guarantees termination), and tree updates
-// re-hang only the detached subtree.
+// long degenerate runs, which guarantees termination), and the basis is
+// a thread-indexed tree (see tree) whose pivots touch only the cycle,
+// the reversed stem and the re-hung subtree's potentials.
 func (nw *Network) SolveSimplex() (*Solution, error) {
 	return nw.SolveSimplexCtx(context.Background())
+}
+
+// tree is the simplex basis: a spanning tree over the network's nodes
+// and the artificial root, in the thread-index layout of Király and
+// Kovács ("Efficient implementations of minimum-cost flow algorithms",
+// 2012), the one LEMON's network simplex uses. thread lists the nodes in
+// preorder and closes back on the root; revThread inverts it. The
+// subtree of w is the thread segment from w to lastSucc[w], succNum[w]
+// nodes long, so no per-node depth or child list is kept.
+type tree struct {
+	parent    []int // -1 at the root
+	parentArc []int // the tree arc to parent; -1 at the root
+	thread    []int
+	revThread []int
+	succNum   []int
+	lastSucc  []int
+	stem      []int // rehang scratch, one slot per node
+}
+
+// newTree returns the star around root n: every node hangs off the root,
+// in thread order root, 0, 1, …, n−1. The caller fills parentArc.
+func newTree(n int) *tree {
+	root := n
+	t := &tree{
+		parent:    make([]int, n+1),
+		parentArc: make([]int, n+1),
+		thread:    make([]int, n+1),
+		revThread: make([]int, n+1),
+		succNum:   make([]int, n+1),
+		lastSucc:  make([]int, n+1),
+		stem:      make([]int, n+1),
+	}
+	for w := 0; w <= n; w++ {
+		t.parent[w] = root
+		t.thread[w], t.revThread[w] = (w+1)%(n+1), (w+n)%(n+1)
+		t.succNum[w], t.lastSucc[w] = 1, w
+	}
+	t.parent[root], t.parentArc[root] = -1, -1
+	t.succNum[root], t.lastSucc[root] = n+1, t.revThread[root]
+	return t
+}
+
+// join returns the lowest common ancestor of u and v with each one's
+// distance to it. An ancestor has more successors than any node below
+// it, so the side with fewer successors cannot hold the join and climbs;
+// on a tie neither is the other's ancestor and v climbs.
+func (t *tree) join(u, v int) (w, du, dv int) {
+	for u != v {
+		if t.succNum[u] < t.succNum[v] {
+			u = t.parent[u]
+			du++
+		} else {
+			v = t.parent[v]
+			dv++
+		}
+	}
+	return u, du, dv
+}
+
+// rehang replaces the tree arc above uOut with arc, which joins uIn, a
+// node of uOut's subtree, to vIn outside it; join is the lowest common
+// ancestor of uIn and vIn. The subtree's thread segment is cut out,
+// re-rooted at uIn by reversing the stem from uIn up to uOut, and
+// spliced back in as vIn's first child (LEMON's updateTreeStructure).
+// The subtree keeps its nodes, now thread[uIn…lastSucc[uIn]]; shifting
+// their potentials is the caller's.
+func (t *tree) rehang(uIn, vIn, uOut, join, arc int) {
+	parent, parentArc := t.parent, t.parentArc
+	thread, revThread := t.thread, t.revThread
+	succNum, lastSucc, stem := t.succNum, t.lastSucc, t.stem
+
+	// stem[0..k] = uIn … uOut, the path whose parent links reverse. It
+	// runs once per pivot, so its loops are hot like the pivot loop's.
+	k := 0
+	stem[0] = uIn
+	//relint:hot
+	for stem[k] != uOut {
+		stem[k+1] = parent[stem[k]]
+		k++
+	}
+	vOut, size, oldLast := parent[uOut], succNum[uOut], lastSucc[uOut]
+
+	// Cut the subtree's segment out of the thread.
+	before, after := revThread[uOut], thread[oldLast]
+	thread[before], revThread[after] = after, before
+
+	// Re-rooted, the segment lists uIn's old subtree, then for each stem
+	// node s = stem[i], i = 1…k, the part of its old subtree outside that
+	// of the stem node c = stem[i−1] below it: the run from s to just
+	// before c, then the run after c's last successor up to s's own,
+	// empty when the two share their last successor. Every stem node's
+	// new last successor is the end of uOut's runs. The loop runs from
+	// uOut down, so each step still reads the old links below it.
+	last := oldLast
+	if k > 0 && lastSucc[stem[k-1]] == oldLast {
+		last = revThread[stem[k-1]]
+	}
+	below := 0 // new successor count of stem[i+1]
+	//relint:hot
+	for i := k; i > 0; i-- {
+		s, c := stem[i], stem[i-1]
+		end := lastSucc[c] // where the runs s now follows end
+		if i > 1 && lastSucc[stem[i-2]] == end {
+			end = revThread[stem[i-2]]
+		}
+		if lastSucc[s] != lastSucc[c] {
+			a, b := revThread[c], thread[lastSucc[c]]
+			thread[a], revThread[b] = b, a
+		}
+		thread[end], revThread[s] = s, end
+		below += succNum[s] - succNum[c]
+		succNum[s], lastSucc[s] = below, last
+		parent[s], parentArc[s] = c, parentArc[c]
+	}
+	parent[uIn], parentArc[uIn] = vIn, arc
+	succNum[uIn], lastSucc[uIn] = size, last
+
+	// Splice the segment back in as vIn's first child.
+	next := thread[vIn]
+	thread[vIn], revThread[uIn] = uIn, vIn
+	thread[last], revThread[next] = next, last
+
+	// Below the join, vIn's ancestors gain the subtree and vOut's lose
+	// it. An ancestor of vOut whose segment ended with the cut one now
+	// ends just before it; an ancestor of vIn whose segment ended at vIn
+	// now ends with the spliced one.
+	for w := vIn; w != join; w = parent[w] {
+		succNum[w] += size
+	}
+	for w := vOut; w != join; w = parent[w] {
+		succNum[w] -= size
+	}
+	for w := vOut; w >= 0 && lastSucc[w] == oldLast; w = parent[w] {
+		lastSucc[w] = before
+	}
+	for w := vIn; w >= 0 && lastSucc[w] == vIn; w = parent[w] {
+		lastSucc[w] = last
+	}
 }
 
 // SolveSimplexCtx is SolveSimplex under a context: cancellation and
@@ -68,17 +207,12 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 	flow := make([]int64, m, m+n)
 	state := make([]arcState, m, m+n)
 
-	parent := make([]int, n+1)
-	parentArc := make([]int, n+1)
-	depth := make([]int, n+1)
+	tr := newTree(n)
+	parent, parentArc, thread := tr.parent, tr.parentArc, tr.thread
 	pot := make([]int64, n+1)
-	children := make([][]int, n+1)
-
-	parent[root] = -1
-	parentArc[root] = -1
 	for v := 0; v < n; v++ {
 		b := -nw.demand[v] // supply convention: outflow − inflow = b
-		ai := len(arcs)
+		parentArc[v] = len(arcs)
 		if b >= 0 {
 			arcs = append(arcs, sArc{from: v, to: root, cost: bigM, cap: Unbounded})
 			flow = append(flow, b)
@@ -89,34 +223,11 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 			pot[v] = -bigM
 		}
 		state = append(state, inTree)
-		parent[v] = root
-		parentArc[v] = ai
-		depth[v] = 1
-		children[root] = append(children[root], v)
-	}
-
-	removeChild := func(p, c int) {
-		list := children[p]
-		for i, w := range list {
-			if w == c {
-				list[i] = list[len(list)-1]
-				children[p] = list[:len(list)-1]
-				return
-			}
-		}
 	}
 
 	reduced := func(i int) int64 {
 		a := arcs[i]
 		return a.cost - pot[a.from] + pot[a.to]
-	}
-
-	// inSubtree reports whether w lies in the subtree rooted at y.
-	inSubtree := func(w, y int) bool {
-		for depth[w] > depth[y] {
-			w = parent[w]
-		}
-		return w == y
 	}
 
 	total := len(arcs)
@@ -149,12 +260,6 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 		}
 		return flow[ai]
 	}
-
-	// Scratch buffers for the tree surgery, reused across pivots with
-	// [:0] resets: the backing arrays grow to the longest re-hang chain
-	// seen and then the loop runs allocation-free (alloc_test.go holds
-	// the measured baseline).
-	var chain, oldArcs, stack []int
 
 	//relint:hot
 	for pivots := 0; ; pivots++ {
@@ -222,7 +327,11 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 			u, v = v, u
 		}
 
-		// Walk both sides to the LCA, recording the blocking residual.
+		// The cycle is the entering arc plus the tree paths from v and
+		// from u up to their join. The leaving arc is the first strict
+		// minimum of the residuals in depth order: the deeper side steps
+		// first, v's side on a tie. Depth below the join is the distance
+		// to it, so two counters replay that order exactly.
 		delta := ea.cap
 		if state[entering] == atUpper {
 			delta = flow[entering]
@@ -232,21 +341,23 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 			delta = Unbounded
 		}
 		leaving := entering
+		uOut, onV := -1, false // leaving arc's child end, and its side
 
+		join, dv, du := tr.join(v, u)
 		x, y := v, u
 		for x != y {
-			if depth[x] >= depth[y] {
+			if dv >= du {
 				if r := stepResidual(x, true); r < delta {
-					delta = r
-					leaving = parentArc[x]
+					delta, leaving, uOut, onV = r, parentArc[x], x, true
 				}
 				x = parent[x]
+				dv--
 			} else {
 				if r := stepResidual(y, false); r < delta {
-					delta = r
-					leaving = parentArc[y]
+					delta, leaving, uOut, onV = r, parentArc[y], y, false
 				}
 				y = parent[y]
+				du--
 			}
 		}
 		if delta == Unbounded {
@@ -265,24 +376,20 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 		} else {
 			flow[entering] += delta
 		}
-		x, y = v, u
-		for x != y {
-			if depth[x] >= depth[y] {
-				ai := parentArc[x]
-				if arcs[ai].from == x {
+		if delta != 0 {
+			for x = v; x != join; x = parent[x] {
+				if ai := parentArc[x]; arcs[ai].from == x {
 					flow[ai] += delta
 				} else {
 					flow[ai] -= delta
 				}
-				x = parent[x]
-			} else {
-				ai := parentArc[y]
-				if arcs[ai].to == y {
+			}
+			for y = u; y != join; y = parent[y] {
+				if ai := parentArc[y]; arcs[ai].to == y {
 					flow[ai] += delta
 				} else {
 					flow[ai] -= delta
 				}
-				y = parent[y]
 			}
 		}
 
@@ -297,61 +404,38 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 			continue
 		}
 
-		// Tree surgery: remove the leaving arc, attach the entering arc.
-		la := arcs[leaving]
-		yl := la.from
-		if parent[la.to] == la.from {
-			yl = la.to
-		}
+		// Tree update: the subtree below the leaving arc holds the
+		// endpoint on the side it was found on, and re-hangs from it.
 		if flow[leaving] == 0 {
 			state[leaving] = atLower
 		} else {
 			state[leaving] = atUpper
 		}
-		removeChild(parent[yl], yl)
-
-		p, q := ea.from, ea.to
-		if !inSubtree(p, yl) {
-			p, q = q, p
-		}
-		// Re-root the detached subtree at p by reversing the chain p→yl.
-		chain = chain[:0]
-		for w := p; ; w = parent[w] {
-			chain = append(chain, w)
-			if w == yl {
-				break
-			}
-		}
-		oldArcs = oldArcs[:0]
-		for i := 0; i+1 < len(chain); i++ {
-			oldArcs = append(oldArcs, parentArc[chain[i]])
-			removeChild(chain[i+1], chain[i])
-		}
-		for i := 0; i+1 < len(chain); i++ {
-			parent[chain[i+1]] = chain[i]
-			parentArc[chain[i+1]] = oldArcs[i]
-			children[chain[i]] = append(children[chain[i]], chain[i+1])
-		}
-		parent[p] = q
-		parentArc[p] = entering
-		children[q] = append(children[q], p)
 		state[entering] = inTree
-
-		// Refresh depth and potentials over the re-hung subtree.
-		stack = append(stack[:0], p)
-		for len(stack) > 0 {
-			w := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			pw := parent[w]
-			ai := parentArc[w]
-			depth[w] = depth[pw] + 1
-			if arcs[ai].from == pw {
-				// rc = cost − pot(pw) + pot(w) = 0
-				pot[w] = pot[pw] - arcs[ai].cost
-			} else {
-				pot[w] = pot[pw] + arcs[ai].cost
+		uIn, vIn := u, v
+		if onV {
+			uIn, vIn = v, u
+		}
+		// Shift the subtree's potentials by the entering arc's reduced
+		// cost, so that it prices to zero: +rc when the subtree holds the
+		// arc's tail, −rc when it holds the head. Only potential
+		// differences are ever read, so when the subtree is the larger
+		// side the rest of the tree shifts the other way instead. The
+		// root then drifts from zero; Go's wrapping arithmetic keeps
+		// every difference exact even if the drift overflows.
+		shift := reduced(entering)
+		if uIn != ea.from {
+			shift = -shift
+		}
+		tr.rehang(uIn, vIn, uOut, join, entering)
+		if size := tr.succNum[uIn]; 2*size <= n+1 {
+			for w, i := uIn, size; i > 0; w, i = thread[w], i-1 {
+				pot[w] += shift
 			}
-			stack = append(stack, children[w]...)
+		} else {
+			for w := thread[tr.lastSucc[uIn]]; w != uIn; w = thread[w] {
+				pot[w] -= shift
+			}
 		}
 	}
 

@@ -42,11 +42,13 @@ func definitive(err error) bool {
 // — degrades gracefully from network simplex to successive shortest paths
 // when the simplex exhausts its pivot budget or its answer fails the
 // certificate. The report records which solver won and why.
-func (nw *Network) SolveMethod(ctx context.Context, method Method) (*Solution, Report, error) {
+func (nw *Network) SolveMethod(ctx context.Context, method Method) (sol *Solution, rep Report, err error) {
 	sp, ctx := obs.StartSpan(ctx, "flow.solve")
-	defer sp.End()
+	defer func() {
+		sp.Fail(err)
+		sp.End()
+	}()
 	sp.Attr("method", method.String())
-	var rep Report
 	solveOne := func(m Method) (*Solution, error) {
 		var sol *Solution
 		var err error

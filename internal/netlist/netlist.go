@@ -281,19 +281,22 @@ func (c *Circuit) CombArea() float64 {
 	return area
 }
 
-// FaninCone returns the set of node IDs in the fan-in cone of t,
-// including t itself (FIC(t) in the paper).
-func (c *Circuit) FaninCone(t *Node) map[int]bool {
-	cone := make(map[int]bool)
+// FaninCone returns the fan-in cone of t, t included (FIC(t) in the
+// paper), in topological order: every node follows its fanins, and t
+// comes last. It is a post-order walk over fanins, so it visits the cone
+// and nothing else.
+func (c *Circuit) FaninCone(t *Node) []*Node {
+	seen := make([]bool, len(c.Nodes))
+	var cone []*Node
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if cone[n.ID] {
-			return
-		}
-		cone[n.ID] = true
+		seen[n.ID] = true
 		for _, f := range n.Fanin {
-			walk(f)
+			if !seen[f.ID] {
+				walk(f)
+			}
 		}
+		cone = append(cone, n)
 	}
 	walk(t)
 	return cone

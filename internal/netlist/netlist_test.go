@@ -95,6 +95,18 @@ func TestFaninFanoutCones(t *testing.T) {
 	if len(cone) != 6 {
 		t.Errorf("fan-in cone of o has %d nodes, want all 6", len(cone))
 	}
+	pos := make(map[*Node]int)
+	for i, n := range cone {
+		for _, f := range n.Fanin {
+			if _, ok := pos[f]; !ok {
+				t.Errorf("fan-in cone lists %s before its fanin %s", n.Name, f.Name)
+			}
+		}
+		pos[n] = i
+	}
+	if cone[len(cone)-1] != o {
+		t.Errorf("fan-in cone ends at %s, want the endpoint o", cone[len(cone)-1].Name)
+	}
 	bNode, _ := c.Node("b")
 	fo := c.FanoutCone(bNode)
 	// b, d, o

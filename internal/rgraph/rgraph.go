@@ -114,6 +114,8 @@ type Graph struct {
 	Class map[int]TargetClass
 
 	cuts     map[int][]int // memoised CutSet results by output ID
+	db       []float64     // cutSet scratch: D^b to one target, NaN off its cone
+	below    []bool        // cutSet scratch: a cut member at or downstream
 	dbMax    []float64
 	dbAdj    []float64 // required-time-adjusted backward delays
 	lp       *flow.DiffLP
@@ -317,88 +319,84 @@ func (g *Graph) CutSet(id int) []int {
 
 // cutSet computes g(t) per Eq. (8–9): nodes v in the fan-in cone of t
 // with a fanout position already meeting Π and a fanin position still
-// violating it.
+// violating it, less every such node with another one downstream: the
+// w_r ≥ 0 edge constraints already force r(ancestor) ≤ r(descendant),
+// so only the frontier is needed — this is where the paper's reverse DFS
+// stops, yielding g(O9) = {G5, G6} rather than {I2, G3, G5, G6} in
+// Fig. 4. Every pass walks t's cone alone, fanouts first; that is exact
+// for the pruning too, since a node on a path between two members
+// reaches t. The D^b map and the downstream flags are scratch indexed by
+// node ID, kept across targets and reset over the cone.
 func (g *Graph) cutSet(t *netlist.Node) []int {
-	db := g.T.BackwardMap(t)
-	period := g.Cfg.Scheme.Period()
-	s := g.Cfg.Scheme
-	l := g.Cfg.Latch
-	var cut []int
-	for _, v := range g.C.Nodes {
-		if v.Kind == netlist.KindOutput || math.IsNaN(db[v.ID]) {
-			continue
+	if g.db == nil {
+		g.db = make([]float64, len(g.C.Nodes))
+		for i := range g.db {
+			g.db[i] = math.NaN()
 		}
-		// ∃ n ∈ FO(v): A(v,n,t) ≤ Π — equivalently, a latch at v's
-		// output meets the period on at least one (in fact, by the
-		// shared-latch physical model, on its worst) fanout.
-		okForward := false
-		for _, n := range v.Fanout {
-			if math.IsNaN(db[n.ID]) {
-				continue
-			}
-			if g.T.A(v, n, db, s, l) <= period+eps {
-				okForward = true
+		g.below = make([]bool, len(g.C.Nodes))
+	}
+	db, below := g.db, g.below
+	cone := g.C.FaninCone(t)
+	g.T.BackwardCone(cone, db)
+	var cut []int
+	for i := len(cone) - 1; i >= 0; i-- {
+		v := cone[i]
+		// below[v]: a cut member lies at v or downstream of it.
+		for _, f := range v.Fanout {
+			if below[f.ID] {
+				below[v.ID] = true
 				break
 			}
 		}
-		if !okForward {
-			continue
-		}
-		// ∃ k ∈ FI(v): A(k,v,t) > Π; for an input node the "fanin" is
-		// the host, i.e. the latch at its initial position.
-		violBehind := false
-		if v.Kind == netlist.KindInput {
-			launch := s.SlaveOpen() + l.ClkToQ
-			if d := g.T.Opt.LaunchDelay + l.DToQ; d > launch {
-				launch = d
-			}
-			violBehind = launch+db[v.ID] > period+eps
-		} else {
-			for _, k := range v.Fanin {
-				if g.T.A(k, v, db, s, l) > period+eps {
-					violBehind = true
-					break
-				}
-			}
-		}
-		if violBehind {
+		if !below[v.ID] && v.Kind != netlist.KindOutput && g.onCut(v, db) {
 			cut = append(cut, v.ID)
+			below[v.ID] = true
 		}
 	}
-	cut = g.pruneAncestors(cut)
+	for _, v := range cone {
+		db[v.ID], below[v.ID] = math.NaN(), false
+	}
 	sort.Ints(cut)
 	return cut
 }
 
-// pruneAncestors drops cut members that have another member downstream:
-// the w_r ≥ 0 edge constraints already force r(ancestor) ≤ r(descendant),
-// so only the frontier is needed — this is where the paper's reverse DFS
-// stops, yielding g(O9) = {G5, G6} rather than {I2, G3, G5, G6} in Fig. 4.
-func (g *Graph) pruneAncestors(cut []int) []int {
-	inCut := make(map[int]bool, len(cut))
-	for _, id := range cut {
-		inCut[id] = true
-	}
-	// reaches[id] = true when a cut member is reachable from id through
-	// at least one edge (strictly downstream).
-	reaches := make([]bool, len(g.C.Nodes))
-	topo := g.C.Topo()
-	for i := len(topo) - 1; i >= 0; i-- {
-		n := topo[i]
-		for _, f := range n.Fanout {
-			if inCut[f.ID] || reaches[f.ID] {
-				reaches[n.ID] = true
-				break
-			}
+// onCut is the Eq. (8–9) test for a node v of t's cone, given t's D^b
+// map.
+func (g *Graph) onCut(v *netlist.Node, db []float64) bool {
+	period := g.Cfg.Scheme.Period()
+	s := g.Cfg.Scheme
+	l := g.Cfg.Latch
+	// ∃ n ∈ FO(v): A(v,n,t) ≤ Π — equivalently, a latch at v's output
+	// meets the period on at least one (in fact, by the shared-latch
+	// physical model, on its worst) fanout.
+	okForward := false
+	for _, n := range v.Fanout {
+		if math.IsNaN(db[n.ID]) {
+			continue
+		}
+		if g.T.A(v, n, db, s, l) <= period+eps {
+			okForward = true
+			break
 		}
 	}
-	var out []int
-	for _, id := range cut {
-		if !reaches[id] {
-			out = append(out, id)
+	if !okForward {
+		return false
+	}
+	// ∃ k ∈ FI(v): A(k,v,t) > Π; for an input node the "fanin" is the
+	// host, i.e. the latch at its initial position.
+	if v.Kind == netlist.KindInput {
+		launch := s.SlaveOpen() + l.ClkToQ
+		if d := g.T.Opt.LaunchDelay + l.DToQ; d > launch {
+			launch = d
+		}
+		return launch+db[v.ID] > period+eps
+	}
+	for _, k := range v.Fanin {
+		if g.T.A(k, v, db, s, l) > period+eps {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // edgeWeight is the initial slave-latch count on an edge: 1 on the
@@ -672,18 +670,20 @@ func (g *Graph) Solve(method flow.Method) (*Solution, error) {
 // SolveCtx runs the LP through the selected flow method and lifts the
 // duals back to a slave-latch placement. The context bounds the solve;
 // cancellation surfaces as an error wrapping ctx.Err().
-func (g *Graph) SolveCtx(ctx context.Context, method flow.Method) (*Solution, error) {
+func (g *Graph) SolveCtx(ctx context.Context, method flow.Method) (sol *Solution, err error) {
 	sp, ctx := obs.StartSpan(ctx, "rgraph.solve")
-	defer sp.End()
+	defer func() {
+		sp.Fail(err)
+		sp.End()
+	}()
 	sp.Gauge("variables", int64(g.numVars))
 	sp.Gauge("constraints", int64(g.lp.NumConstraints()))
 	sp.Gauge("targets", int64(len(g.pseudoOf)))
 	res, err := g.lp.SolveCtx(ctx, method)
 	if err != nil {
-		sp.Fail(err)
 		return nil, fmt.Errorf("rgraph: %w", err)
 	}
-	sol := &Solution{
+	sol = &Solution{
 		R:              make(map[int]int),
 		PseudoFired:    make(map[int]bool),
 		Objective:      float64(res.Objective) / Scale,

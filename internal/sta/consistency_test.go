@@ -90,7 +90,10 @@ func randomLegalRetiming(c *netlist.Circuit, rng *rand.Rand) map[int]int {
 // AFrom(u, o) — the Eq. (5) view of the endpoint arrival.
 func eqFiveArrival(tm *sta.Timing, c *netlist.Circuit, p *netlist.Placement, o *netlist.Node, s clocking.Scheme, l cell.Latch) float64 {
 	db := tm.BackwardMap(o)
-	cone := c.FaninCone(o)
+	cone := make(map[int]bool)
+	for _, n := range c.FaninCone(o) {
+		cone[n.ID] = true
+	}
 	worst := math.Inf(-1)
 	launchOnly := true
 	for id := range cone {

@@ -271,28 +271,32 @@ func (t *Timing) BackwardMap(target *netlist.Node) []float64 {
 	for i := range db {
 		db[i] = math.NaN()
 	}
-	cone := t.C.FaninCone(target)
+	t.BackwardCone(t.C.FaninCone(target), db)
+	return db
+}
+
+// BackwardCone is BackwardMap's recursion over a cone from
+// Circuit.FaninCone, written into a caller-owned map: it sets db[v.ID]
+// for every node v of the cone and touches no other entry. Entries
+// outside the cone must be NaN, which is how it tells a fanout outside
+// the cone; a caller reusing db across targets resets the cone's entries
+// to NaN afterwards. The walk is over the cone alone, fanouts first.
+func (t *Timing) BackwardCone(cone []*netlist.Node, db []float64) {
+	target := cone[len(cone)-1]
 	db[target.ID] = 0
-	topo := t.C.Topo()
-	for i := len(topo) - 1; i >= 0; i-- {
-		n := topo[i]
-		if !cone[n.ID] || n == target {
-			continue
-		}
+	for i := len(cone) - 2; i >= 0; i-- {
+		n := cone[i]
 		best := math.Inf(-1)
 		for _, f := range n.Fanout {
-			if !cone[f.ID] || math.IsNaN(db[f.ID]) {
+			if math.IsNaN(db[f.ID]) {
 				continue
 			}
 			if d := t.EdgeDelay(n, f) + db[f.ID]; d > best {
 				best = d
 			}
 		}
-		if !math.IsInf(best, -1) {
-			db[n.ID] = best
-		}
+		db[n.ID] = best
 	}
-	return db
 }
 
 // DbMax computes, for every node v, the maximum D^b(v,t) over all
