@@ -17,7 +17,6 @@
 // equivalent. Flags:
 //
 //	-rules r1,r2  run only the named rules (default: full catalogue)
-//	-allow FILE   hotalloc allowlist (default internal/analysis/hotalloc.allow)
 //	-json         emit findings as a JSON array instead of text
 //	-list         print the rule catalogue and exit
 //
@@ -52,7 +51,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		rulesFlag = fs.String("rules", "", "comma-separated rule IDs to run (default: all)")
-		allowFlag = fs.String("allow", "internal/analysis/hotalloc.allow", "hotalloc allowlist file")
 		jsonFlag  = fs.Bool("json", false, "emit findings as JSON")
 		listFlag  = fs.Bool("list", false, "print the rule catalogue and exit")
 	)
@@ -74,20 +72,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "relint: %v\n", err)
 		return 2
 	}
-	allow, err := analysis.LoadHotAllow(*allowFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "relint: %v\n", err)
-		return 2
-	}
-	cfg := analysis.Config{HotAllow: allow}
-
 	roots := fs.Args()
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
 	var findings []analysis.Diagnostic
 	for _, root := range roots {
-		tree, err := analysis.Load(root, cfg)
+		tree, err := analysis.Load(root)
 		if err != nil {
 			fmt.Fprintf(stderr, "relint: %v\n", err)
 			return 2

@@ -24,7 +24,8 @@
 //     "202 means the job is owed" durability contract).
 //   - hotalloc: no composite literals, closures, appends or
 //     interface-converting calls inside the annotated pivot/augmentation
-//     loops of internal/flow, minus an audited allowlist.
+//     loops of internal/flow; an audited site carries a reasoned
+//     //relint:ignore like any other finding.
 //   - obsspan: a started obs span has a deferred End on every path.
 //   - barepanic, stderr: the original build/analyzers conventions,
 //     migrated (library code returns errors; stderr belongs to cmd/).
@@ -116,16 +117,6 @@ type Pass struct {
 	// resolve are simply absent, so rules must treat lookups as
 	// best-effort.
 	Info *types.Info
-	// Config carries driver-level knobs (the hotalloc allowlist).
-	Config Config
-}
-
-// Config carries the driver knobs shared by cmd/relint and the tests.
-type Config struct {
-	// HotAllow is the parsed hot-path allocation allowlist: audited
-	// sites the hotalloc rule stays silent on. Keys are
-	// "file:func:kind:detail" (see hotalloc.go).
-	HotAllow map[string]bool
 }
 
 // position converts a token.Pos into the Diagnostic fields.
@@ -147,7 +138,7 @@ func Catalogue() []Rule {
 		{ID: "ctxthread", Doc: "exported functions thread context.Context to *Ctx APIs, and to blocking I/O in the guarantee-chain packages", Check: checkCtxThread},
 		{ID: "sentinel", Doc: "errors returned from guarantee-chain packages wrap a declared sentinel or upstream error with %w", Check: checkSentinel},
 		{ID: "journalfirst", Doc: "in internal/queue, journal appends precede the in-memory state mutations they record", Check: checkJournalFirst},
-		{ID: "hotalloc", Doc: "no composite literals, closures, appends or interface conversions inside //relint:hot solver loops (allowlist-audited)", Check: checkHotAlloc},
+		{ID: "hotalloc", Doc: "no composite literals, closures, appends or interface conversions inside //relint:hot solver loops", Check: checkHotAlloc},
 		{ID: "obsspan", Doc: "a started obs span has a deferred End on every path", Check: checkObsSpan},
 		{ID: "barepanic", Doc: "no bare panic outside tests, Must* constructors and the fault harness", Check: checkBarePanic},
 		{ID: "stderr", Doc: "no direct fmt.Fprint*(os.Stderr, ...) outside cmd/ and build/ — library progress goes through obs logging", Check: checkStderr},

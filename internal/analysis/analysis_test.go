@@ -44,10 +44,10 @@ func collectWants(t *testing.T, tree *Tree) []wantAnnot {
 	return out
 }
 
-func loadFixture(t *testing.T, name string, cfg Config) *Tree {
+func loadFixture(t *testing.T, name string) *Tree {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	tree, err := LoadDir(dir, cfg)
+	tree, err := LoadDir(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
@@ -62,7 +62,7 @@ func TestRuleFixtures(t *testing.T) {
 		rule := rule
 		t.Run(rule.ID, func(t *testing.T) {
 			t.Parallel()
-			tree := loadFixture(t, rule.ID, Config{HotAllow: map[string]bool{}})
+			tree := loadFixture(t, rule.ID)
 			diags := tree.Run([]Rule{rule})
 			wants := collectWants(t, tree)
 			if len(wants) == 0 {
@@ -106,7 +106,7 @@ func TestRuleFixtures(t *testing.T) {
 // must be flagged by maporder. The fixture replays the snippet
 // verbatim.
 func TestPR5BugClassCaught(t *testing.T) {
-	tree := loadFixture(t, "maporder", Config{})
+	tree := loadFixture(t, "maporder")
 	rules, err := Select("maporder")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestPR5BugClassCaught(t *testing.T) {
 }
 
 func TestSuppressions(t *testing.T) {
-	tree := loadFixture(t, "suppress", Config{})
+	tree := loadFixture(t, "suppress")
 	rules, err := Select("barepanic")
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestSuppressions(t *testing.T) {
 // above it names only guardedby. The guardedby finding must vanish,
 // the lockorder finding on the very same line must survive.
 func TestSuppressionInterplay(t *testing.T) {
-	tree := loadFixture(t, "mixed", Config{})
+	tree := loadFixture(t, "mixed")
 	rules, err := Select("guardedby,lockorder")
 	if err != nil {
 		t.Fatal(err)
@@ -197,50 +197,14 @@ func TestSuppressionInterplay(t *testing.T) {
 	}
 }
 
-// TestHotAllowlist checks both directions of the allowlist: a matching
-// key silences its finding, and a key matching nothing is itself
-// reported as stale.
-func TestHotAllowlist(t *testing.T) {
-	allow := map[string]bool{
-		"hotalloc.go:SolveSSPCtx:append:buf": true,
-		"hotalloc.go:Gone:lit:item":          true, // matches nothing: stale
-	}
-	tree := loadFixture(t, "hotalloc", Config{HotAllow: allow})
-	rules, err := Select("hotalloc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var staleSeen, appendSeen bool
-	for _, d := range tree.Run(rules) {
-		if strings.Contains(d.Message, "matches no finding") &&
-			strings.Contains(d.Message, "hotalloc.go:Gone:lit:item") {
-			staleSeen = true
-		}
-		if strings.Contains(d.Message, "append inside a hot loop") {
-			appendSeen = true
-		}
-	}
-	if !staleSeen {
-		t.Error("stale allowlist key was not reported")
-	}
-	if appendSeen {
-		t.Error("allowlisted append finding was still reported")
-	}
-}
-
 // TestRepoClean is the make analyze gate as a test: the full catalogue
-// over the whole repo with the committed allowlist must be
-// finding-free, and the seed tree must type-check cleanly so no rule
-// silently degrades.
+// over the whole repo must be finding-free, and the seed tree must
+// type-check cleanly so no rule silently degrades.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide source type-check is slow")
 	}
-	allow, err := LoadHotAllow("hotalloc.allow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := Load("../..", Config{HotAllow: allow})
+	tree, err := Load("../..")
 	if err != nil {
 		t.Fatal(err)
 	}

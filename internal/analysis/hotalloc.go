@@ -1,14 +1,9 @@
 package analysis
 
 import (
-	"bufio"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -31,17 +26,17 @@ import (
 //   - composite literals (struct/slice/map construction per iteration);
 //   - function literals (closure allocation; hoist before the loop);
 //   - append calls (growth re-allocation; hoist a reused buffer and
-//     reset with [:0], or allowlist the audited amortized ones);
+//     reset with [:0]);
 //   - fmt.* calls (interface boxing plus formatting state);
 //   - concrete-to-interface argument conversions (boxing — the
 //     container/heap trap: heap.Push(pq, item) boxes every item).
 //
 // Anything inside a return statement is exempt (one-shot error exits
-// don't run per iteration). Surviving audited sites live in the
-// allowlist file (cmd/relint -allow, default
-// internal/analysis/hotalloc.allow), keyed "file:func:kind:detail" —
-// e.g. "simplex.go:SolveSimplexCtx:append:buf". Unused allowlist
-// keys are findings too, so the file can't rot.
+// don't run per iteration). An audited site that must stay carries
+//
+//	//relint:ignore hotalloc -- <reason>
+//
+// on or above its line, like any other suppressed finding.
 var hotFuncs = []string{"SolveSimplexCtx", "SolveSSPCtx", "Feasible"}
 
 const hotMarker = "//relint:hot"
@@ -54,7 +49,6 @@ func checkHotAlloc(p *Pass) []Diagnostic {
 	for _, n := range hotFuncs {
 		required[n] = true
 	}
-	used := make(map[string]bool, len(p.Config.HotAllow))
 	var out []Diagnostic
 	for _, f := range p.Files {
 		marks := hotMarkLines(p, f)
@@ -69,20 +63,9 @@ func checkHotAlloc(p *Pass) []Diagnostic {
 					"%s is a declared hot function but contains no %s-annotated loop; annotate its inner loop so allocation hygiene is checked", fn.Name.Name, hotMarker))
 			}
 			for _, loop := range hotLoops {
-				out = append(out, p.checkHotLoop(fn, loop, used)...)
+				out = append(out, p.checkHotLoop(loop)...)
 			}
 		}
-	}
-	stale := make([]string, 0, len(p.Config.HotAllow))
-	for key := range p.Config.HotAllow {
-		if !used[key] {
-			stale = append(stale, key)
-		}
-	}
-	sort.Strings(stale)
-	for _, key := range stale {
-		out = append(out, Diagnostic{File: filepath.Join(p.Path, "hotalloc.allow"), Line: 1, Col: 1, Rule: "hotalloc",
-			Message: fmt.Sprintf("allowlist entry %q matches no finding; remove it (stale audited sites hide future regressions)", key)})
 	}
 	return out
 }
@@ -132,18 +115,11 @@ func annotatedLoops(p *Pass, body *ast.BlockStmt, marks map[int]bool) []ast.Stmt
 }
 
 // checkHotLoop flags allocation sources inside one annotated loop.
-func (p *Pass) checkHotLoop(fn *ast.FuncDecl, loop ast.Stmt, used map[string]bool) []Diagnostic {
+func (p *Pass) checkHotLoop(loop ast.Stmt) []Diagnostic {
 	var out []Diagnostic
 	returns := returnRanges(loop)
-	flag := func(pos token.Pos, kind, detail, format string, args ...any) {
-		key := p.allowKey(fn, kind, detail)
-		if p.Config.HotAllow[key] {
-			used[key] = true
-			return
-		}
-		d := p.diag("hotalloc", pos, format, args...)
-		d.Message += fmt.Sprintf(" (allowlist key %q)", key)
-		out = append(out, d)
+	flag := func(pos token.Pos, format string, args ...any) {
+		out = append(out, p.diag("hotalloc", pos, format, args...))
 	}
 	ast.Inspect(loop, func(n ast.Node) bool {
 		if n == nil || n == loop {
@@ -154,22 +130,18 @@ func (p *Pass) checkHotLoop(fn *ast.FuncDecl, loop ast.Stmt, used map[string]boo
 		}
 		switch t := n.(type) {
 		case *ast.CompositeLit:
-			flag(t.Pos(), "lit", typeName(t.Type),
-				"composite literal allocates every iteration of a hot loop; hoist it before the loop and reuse")
+			flag(t.Pos(), "composite literal allocates every iteration of a hot loop; hoist it before the loop and reuse")
 		case *ast.FuncLit:
-			flag(t.Pos(), "closure", "func",
-				"closure allocates every iteration of a hot loop; hoist it before the loop")
+			flag(t.Pos(), "closure allocates every iteration of a hot loop; hoist it before the loop")
 			return false // the allocation is the literal itself, not its body
 		case *ast.CallExpr:
 			if id, ok := t.Fun.(*ast.Ident); ok && id.Name == "append" && len(t.Args) > 0 {
-				flag(t.Pos(), "append", rootName(t.Args[0]),
-					"append inside a hot loop can reallocate; preallocate capacity or reuse a hoisted buffer with [:0] (target %s)", describeExpr(t.Args[0]))
+				flag(t.Pos(), "append inside a hot loop can reallocate; preallocate capacity or reuse a hoisted buffer with [:0] (target %s)", describeExpr(t.Args[0]))
 				return true
 			}
 			if sel, ok := t.Fun.(*ast.SelectorExpr); ok {
 				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "fmt" {
-					flag(t.Pos(), "call", "fmt."+sel.Sel.Name,
-						"fmt.%s inside a hot loop boxes its arguments and allocates formatting state; move it out of the loop", sel.Sel.Name)
+					flag(t.Pos(), "fmt.%s inside a hot loop boxes its arguments and allocates formatting state; move it out of the loop", sel.Sel.Name)
 					return true
 				}
 			}
@@ -182,7 +154,7 @@ func (p *Pass) checkHotLoop(fn *ast.FuncDecl, loop ast.Stmt, used map[string]boo
 
 // ifaceBoxing flags concrete arguments passed to interface parameters
 // (type-information permitting; silent when types are unavailable).
-func (p *Pass) ifaceBoxing(call *ast.CallExpr, flag func(token.Pos, string, string, string, ...any)) {
+func (p *Pass) ifaceBoxing(call *ast.CallExpr, flag func(token.Pos, string, ...any)) {
 	tv, ok := p.Info.Types[call.Fun]
 	if !ok || tv.Type == nil {
 		return
@@ -218,8 +190,7 @@ func (p *Pass) ifaceBoxing(call *ast.CallExpr, flag func(token.Pos, string, stri
 		if isUntypedNil(atv.Type) {
 			continue
 		}
-		flag(arg.Pos(), "iface", calleeName(call),
-			"passing a concrete value to an interface parameter of %s boxes it (heap allocation) every iteration; use a concrete-typed variant", calleeName(call))
+		flag(arg.Pos(), "passing a concrete value to an interface parameter of %s boxes it (heap allocation) every iteration; use a concrete-typed variant", calleeName(call))
 	}
 }
 
@@ -227,51 +198,6 @@ func (p *Pass) ifaceBoxing(call *ast.CallExpr, flag func(token.Pos, string, stri
 func isUntypedNil(t types.Type) bool {
 	b, ok := t.(*types.Basic)
 	return ok && b.Kind() == types.UntypedNil
-}
-
-// allowKey renders the allowlist key for a finding site.
-func (p *Pass) allowKey(fn *ast.FuncDecl, kind, detail string) string {
-	file, _, _ := p.position(fn.Pos())
-	return fmt.Sprintf("%s:%s:%s:%s", filepath.Base(file), fn.Name.Name, kind, detail)
-}
-
-// rootName extracts the root identifier of an expression for allowlist
-// keys.
-func rootName(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.Ident:
-			return t.Name
-		case *ast.SelectorExpr:
-			return t.Sel.Name
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.SliceExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		default:
-			return "expr"
-		}
-	}
-}
-
-// typeName renders a composite literal's type for allowlist keys.
-func typeName(e ast.Expr) string {
-	if e == nil {
-		return "untyped"
-	}
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.SelectorExpr:
-		return describeExpr(t)
-	case *ast.ArrayType:
-		return "[]" + typeName(t.Elt)
-	case *ast.MapType:
-		return "map"
-	}
-	return "composite"
 }
 
 // returnRanges collects the source ranges of return statements (exempt
@@ -294,34 +220,4 @@ func insideRanges(pos token.Pos, ranges [][2]token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// LoadHotAllow parses the hotalloc allowlist file: one
-// "file:func:kind:detail" key per line, '#' comments and blank lines
-// ignored. A missing file yields an empty allowlist (not an error) so
-// fixture runs need no file.
-func LoadHotAllow(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]bool{}, nil
-		}
-		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	defer f.Close()
-	allow := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		if line = strings.TrimSpace(line); line != "" {
-			allow[line] = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	return allow, nil
 }

@@ -31,7 +31,7 @@ type Tree struct {
 // to the bare directory, since Load always walks recursively. Skipped:
 // VCS metadata, testdata trees (fixtures are loaded explicitly by
 // tests via LoadDir), and materialized build outputs.
-func Load(root string, cfg Config) (*Tree, error) {
+func Load(root string) (*Tree, error) {
 	root = strings.TrimSuffix(root, "/...")
 	if root == "" {
 		root = "."
@@ -63,7 +63,7 @@ func Load(root string, cfg Config) (*Tree, error) {
 	t := &Tree{Fset: token.NewFileSet()}
 	imp := newImporter(t.Fset)
 	for _, dir := range dirs {
-		p, err := t.loadDir(dir, filepath.ToSlash(filepath.Clean(dir)), imp, cfg)
+		p, err := t.loadDir(dir, filepath.ToSlash(filepath.Clean(dir)), imp)
 		if err != nil {
 			return nil, err
 		}
@@ -77,9 +77,9 @@ func Load(root string, cfg Config) (*Tree, error) {
 // LoadDir loads a single package directory (used by the fixture tests).
 // The Pass path is the directory as given, slash-normalized, so fixture
 // scoping on "testdata/src/<rule>" works from any root.
-func LoadDir(dir string, cfg Config) (*Tree, error) {
+func LoadDir(dir string) (*Tree, error) {
 	t := &Tree{Fset: token.NewFileSet()}
-	p, err := t.loadDir(dir, filepath.ToSlash(filepath.Clean(dir)), newImporter(t.Fset), cfg)
+	p, err := t.loadDir(dir, filepath.ToSlash(filepath.Clean(dir)), newImporter(t.Fset))
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func LoadDir(dir string, cfg Config) (*Tree, error) {
 
 // loadDir parses and type-checks one package directory. Type errors are
 // collected, not fatal: rules degrade to syntactic coverage.
-func (t *Tree) loadDir(dir, rel string, imp types.Importer, cfg Config) (*Pass, error) {
+func (t *Tree) loadDir(dir, rel string, imp types.Importer) (*Pass, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
@@ -128,7 +128,7 @@ func (t *Tree) loadDir(dir, rel string, imp types.Importer, cfg Config) (*Pass, 
 	// Check errors are already collected via conf.Error; the returned
 	// error only repeats the first one.
 	conf.Check(path, t.Fset, files, info) //nolint:errcheck
-	return &Pass{Fset: t.Fset, Path: rel, Files: files, Info: info, Config: cfg}, nil
+	return &Pass{Fset: t.Fset, Path: rel, Files: files, Info: info}, nil
 }
 
 // newImporter returns the stdlib source importer: it type-checks

@@ -167,13 +167,6 @@ func (c *Cell) Delay(pin int, loadCap, inputSlew float64) float64 {
 	return worst + c.Resistance*loadCap + c.SlewFactor*inputSlew
 }
 
-// DelayRF returns separate rise and fall pin-to-output delays.
-func (c *Cell) DelayRF(pin int, loadCap, inputSlew float64) (rise, fall float64) {
-	rise = c.IntrinsicRise[pin] + c.Resistance*loadCap + c.SlewFactor*inputSlew
-	fall = c.IntrinsicFall[pin] + c.Resistance*loadCap + c.SlewFactor*inputSlew
-	return rise, fall
-}
-
 // OutputSlew returns the transition time at the cell output for loadCap.
 func (c *Cell) OutputSlew(loadCap float64) float64 {
 	return c.SlewBase + c.SlewPerLoad*loadCap
@@ -413,9 +406,9 @@ func (l *Library) Cell(f Function, drive int) (*Cell, error) {
 
 // MustCell is Cell but panics on a missing cell. The panic is a provably
 // internal invariant, not a user-input path: every library this package
-// constructs (Default, VirtualLibrary) provides every function at drives
-// 1, 2 and 4, and callers handling externally chosen (function, drive)
-// pairs must use Cell instead — the verilog elaborator does.
+// constructs (Default) provides every function at drives 1, 2 and 4, and
+// callers handling externally chosen (function, drive) pairs must use
+// Cell instead — the verilog elaborator does.
 func (l *Library) MustCell(f Function, drive int) *Cell {
 	c, err := l.Cell(f, drive)
 	if err != nil {
@@ -487,19 +480,4 @@ func (l *Library) LatchVariant(k LatchKind) Latch {
 		v.Name = "DLATCH_NED_X1"
 	}
 	return v
-}
-
-// VirtualLibrary materializes the resynthesis library of Section V: every
-// latch gains two variants, forming the three groups the virtual-library
-// retiming flows choose among — (1) non-error-detecting latches whose
-// setup is extended by the resiliency window (arrivals must precede
-// φ1+γ1), (2) error-detecting latches with area scaled by 1+c (arrivals
-// may run to φ1+γ1+φ1), and (3) the unmodified base latch for
-// non-error-detecting pipeline stages. resiliencyWindow is φ1 in the
-// latches' time unit.
-func (l *Library) VirtualLibrary(resiliencyWindow float64) []Latch {
-	nonED := l.LatchVariant(LatchVirtualNonED)
-	nonED.Setup = l.BaseLatch.Setup + resiliencyWindow
-	ed := l.LatchVariant(LatchErrorDetecting)
-	return []Latch{nonED, ed, l.BaseLatch}
 }

@@ -229,34 +229,3 @@ func TestLatchVariantNames(t *testing.T) {
 		t.Errorf("normal variant wrong: %+v", v)
 	}
 }
-
-func TestVirtualLibrary(t *testing.T) {
-	lib := Default(2.0)
-	const window = 0.3
-	groups := lib.VirtualLibrary(window)
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d, want 3 (Section V)", len(groups))
-	}
-	nonED, ed, normal := groups[0], groups[1], groups[2]
-	if nonED.Kind != LatchVirtualNonED || ed.Kind != LatchErrorDetecting || normal.Kind != LatchNormal {
-		t.Fatal("group kinds wrong")
-	}
-	// Group 1: extended setup models "arrival must precede the window".
-	if nonED.Setup != lib.BaseLatch.Setup+window {
-		t.Errorf("non-ED setup = %g, want base+window %g", nonED.Setup, lib.BaseLatch.Setup+window)
-	}
-	if nonED.Area != lib.BaseLatch.Area {
-		t.Error("non-ED latch must keep base area")
-	}
-	// Group 2: area scaled by 1+c.
-	if ed.Area != lib.BaseLatch.Area*3 {
-		t.Errorf("ED area = %g, want %g", ed.Area, lib.BaseLatch.Area*3)
-	}
-	if ed.Setup != lib.BaseLatch.Setup {
-		t.Error("ED latch keeps the base setup")
-	}
-	// Group 3: untouched.
-	if normal != lib.BaseLatch {
-		t.Error("third group must be the unmodified base latch")
-	}
-}

@@ -272,17 +272,10 @@ type Config struct {
 	// pipeline re-settles ED status by ground truth regardless, so the
 	// optimism costs objective accuracy, never output correctness.
 	StrictReclaim bool
-	// Epsilon is the relative tolerance of the cost check; 0 means the
-	// default 1e-6.
-	Epsilon float64
 }
 
-func (cfg Config) epsilon() float64 {
-	if cfg.Epsilon > 0 {
-		return cfg.Epsilon
-	}
-	return 1e-6
-}
+// costEpsilon is the relative tolerance of the cost check.
+const costEpsilon = 1e-6
 
 // Run certifies the subject. It returns an error only when certification
 // itself could not run (nil inputs, invalid scheme, cancelled context);
@@ -368,7 +361,7 @@ func Run(ctx context.Context, s Subject, cfg Config) (*Certificate, error) {
 		return nil, err
 	}
 
-	record("cost", checkCost(s, cfg))
+	record("cost", checkCost(s))
 
 	crt.Slaves = s.Placement.SlaveCount()
 	crt.Masters = s.Retimed.FlopCount()

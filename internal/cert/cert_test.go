@@ -310,7 +310,7 @@ func TestCostFindings(t *testing.T) {
 		s := subjectFor(t, c, fig4.Cut1(c), map[int]bool{o9: true})
 		s.SeqArea += s.SeqArea * 1e-9
 		if crt := mustRun(t, s, Config{}); crt.HasCode(CodeCost) {
-			t.Fatalf("1e-9 relative drift must pass the default epsilon")
+			t.Fatalf("1e-9 relative drift must pass the cost epsilon")
 		}
 	})
 }

@@ -236,7 +236,7 @@ func checkEDL(s Subject, cfg Config) ([]Finding, error) {
 // is re-derived from the *claimed* counts through cell.SeqAreaOf, so an
 // arithmetic error surfaces as cost even when the counts themselves are
 // consistent (and vice versa).
-func checkCost(s Subject, cfg Config) []Finding {
+func checkCost(s Subject) []Finding {
 	var fs []Finding
 	add := func(code, format string, args ...any) {
 		fs = append(fs, Finding{Check: "cost", Code: code, Message: fmt.Sprintf(format, args...)})
@@ -256,9 +256,8 @@ func checkCost(s Subject, cfg Config) []Finding {
 		add(CodeCost, "claimed objective %g is not finite", s.Objective)
 	}
 	want := cell.SeqAreaOf(s.Retimed.Lib, s.EDLCost, s.SlaveCount, s.MasterCount, s.EDCount)
-	eps := cfg.epsilon()
 	if math.IsNaN(s.SeqArea) || math.IsInf(s.SeqArea, 0) ||
-		math.Abs(s.SeqArea-want) > eps*math.Max(1, math.Abs(want)) {
+		math.Abs(s.SeqArea-want) > costEpsilon*math.Max(1, math.Abs(want)) {
 		add(CodeCost, "claimed sequential area %.6g differs from re-derived %.6g (c=%g, slaves=%d, masters=%d, ed=%d)",
 			s.SeqArea, want, s.EDLCost, s.SlaveCount, s.MasterCount, s.EDCount)
 	}

@@ -66,8 +66,6 @@ type Options struct {
 	// solve (0 = automatic); exceeded budgets trigger the certified SSP
 	// fallback under flow.MethodAuto.
 	PivotLimit int
-	// StaOverride, when non-nil, fully replaces the derived sta options.
-	StaOverride *sta.Options
 }
 
 // Result is a completed retiming with its ground-truth evaluation. It is
@@ -215,9 +213,6 @@ func listFirst[T any](ferr error, findings []T) error {
 
 // staOptions derives the optimization timing options.
 func staOptions(c *netlist.Circuit, opt Options) sta.Options {
-	if opt.StaOverride != nil {
-		return *opt.StaOverride
-	}
 	switch opt.TimingModel {
 	case sta.ModelGate:
 		return sta.GateOptions(c.Lib)

@@ -129,20 +129,6 @@ func OverheadFactor(lib *cell.Library, k Kind, clusterSize int) float64 {
 	return (d.DetectorArea + treeShare) / d.LatchArea
 }
 
-// AggregateArea returns the total sequential + detection area of an ED
-// assignment under explicit clustering: every master pays a latch;
-// ED masters add their detector; each cluster adds its OR tree.
-func AggregateArea(lib *cell.Library, k Kind, masters int, clusters []Cluster) float64 {
-	d := NewDesign(lib, k)
-	or := lib.MustCell(cell.FuncOr2, 1).Area
-	area := float64(masters) * lib.BaseLatch.Area
-	for _, cl := range clusters {
-		area += float64(len(cl.Members)) * d.DetectorArea
-		area += float64(cl.ORGates) * or
-	}
-	return area
-}
-
 // String renders a cluster summary.
 func (c Cluster) String() string {
 	return fmt.Sprintf("cluster{%d latches, %d OR gates, depth %d}", len(c.Members), c.ORGates, c.Depth)

@@ -124,19 +124,6 @@ func TestOverheadMonotonicInClusterSize(t *testing.T) {
 	}
 }
 
-func TestAggregateArea(t *testing.T) {
-	lib := cell.Default(1.0)
-	ids := []int{0, 1, 2, 3}
-	clusters := BuildClusters(ids, 4)
-	area := AggregateArea(lib, TDTB, 10, clusters)
-	d := NewDesign(lib, TDTB)
-	or := lib.MustCell(cell.FuncOr2, 1).Area
-	want := 10*lib.BaseLatch.Area + 4*d.DetectorArea + 3*or
-	if area != want {
-		t.Errorf("AggregateArea = %g, want %g", area, want)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if ShadowFF.String() != "shadow-ff" || TDTB.String() != "tdtb" {
 		t.Error("kind names wrong")

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -98,66 +97,20 @@ func (o *Outcome) Summary() Summary {
 	return s
 }
 
-// State is a ticket's position in its lifecycle.
-type State int
-
-// Ticket states, in lifecycle order.
-const (
-	StateQueued State = iota
-	StateRunning
-	StateDone
-	StateFailed
-)
-
-func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	}
-	return fmt.Sprintf("state(%d)", int(s))
-}
-
 // Ticket tracks one submission from Submit to completion.
 type Ticket struct {
 	ID  string
 	Key Key
 
-	mu        sync.Mutex
-	state     State     // guarded by mu
-	outcome   *Outcome  // guarded by mu
-	err       error     // guarded by mu
-	submitted time.Time // guarded by mu
-	started   time.Time // guarded by mu
-	finished  time.Time // guarded by mu
-
-	done chan struct{} // closed by finish; receive-only join, no lock needed
-}
-
-// Status returns the ticket's current state and lifecycle timestamps.
-func (t *Ticket) Status() (state State, submitted, started, finished time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state, t.submitted, t.started, t.finished
-}
-
-// Err returns the job error once the ticket has failed, nil otherwise.
-func (t *Ticket) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-// Outcome returns the completed outcome, nil until the ticket is done.
-func (t *Ticket) Outcome() *Outcome {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.outcome
+	// submitted is set before the job's goroutine starts, which reads it
+	// for the total-latency histogram.
+	submitted time.Time
+	// outcome and err are written once, by finish, before it closes
+	// done; Wait reads them only after done is closed, so the close
+	// publishes them and no lock is needed.
+	outcome *Outcome
+	err     error
+	done    chan struct{}
 }
 
 // Wait blocks until the job completes or ctx is cancelled. The returned
@@ -168,30 +121,11 @@ func (t *Ticket) Wait(ctx context.Context) (*Outcome, error) {
 	case <-ctx.Done():
 		return nil, fmt.Errorf("engine: waiting for %s: %w", t.ID, ctx.Err())
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.outcome, t.err
 }
 
-func (t *Ticket) setRunning() {
-	t.mu.Lock()
-	if t.state == StateQueued {
-		t.state = StateRunning
-		t.started = time.Now()
-	}
-	t.mu.Unlock()
-}
-
 func (t *Ticket) finish(out *Outcome, err error) {
-	t.mu.Lock()
 	t.outcome, t.err = out, err
-	t.finished = time.Now()
-	if err != nil {
-		t.state = StateFailed
-	} else {
-		t.state = StateDone
-	}
-	t.mu.Unlock()
 	close(t.done)
 }
 
@@ -370,8 +304,7 @@ func (e *Engine) run(ctx context.Context, t *Ticket, job Job, key Key) {
 	sp.Fail(err)
 	sp.End()
 	if err == nil {
-		_, submitted, _, _ := t.Status()
-		e.hTotal.Observe(time.Since(submitted))
+		e.hTotal.Observe(time.Since(t.submitted))
 	}
 
 	e.mu.Lock()
@@ -393,7 +326,6 @@ func (e *Engine) execute(ctx context.Context, sp *obs.Span, t *Ticket, job Job, 
 		e.stats.Deduplicated++
 		e.mu.Unlock()
 		sp.Add("deduplicated", 1)
-		t.setRunning()
 		select {
 		case <-c.done:
 		case <-ctx.Done():
@@ -431,7 +363,6 @@ func (e *Engine) lead(ctx context.Context, t *Ticket, job Job, key Key) (*Outcom
 	}
 	defer func() { <-e.sem }()
 	e.hQueueWait.Observe(time.Since(waitStart))
-	t.setRunning()
 
 	if e.cfg.Cache != nil {
 		if out, ok := e.cfg.Cache.Get(ctx, key, job); ok {
@@ -490,10 +421,4 @@ func (e *Engine) solve(ctx context.Context, job Job, key Key) (out *Outcome, err
 	e.hCertify.Observe(res.CertifyTime)
 	e.hSolve.Observe(res.Runtime - res.CertifyTime)
 	return &Outcome{Key: key, Approach: job.Approach, Core: res, Runtime: time.Since(start)}, nil
-}
-
-// IsClosed reports whether err stems from the engine shutting down or a
-// context cut (as opposed to the solve itself failing).
-func IsClosed(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

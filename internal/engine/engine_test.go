@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -116,14 +117,14 @@ func TestJobTimeoutBoundsSolve(t *testing.T) {
 	eng := New(Config{Workers: 1, JobTimeout: 20 * time.Millisecond, SolveOverride: block})
 	defer eng.Close()
 
-	if _, err := eng.Do(context.Background(), testJob(t, GRAR)); !IsClosed(err) {
+	if _, err := eng.Do(context.Background(), testJob(t, GRAR)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("engine-default timeout: got %v", err)
 	}
 	// A per-job timeout overrides the engine default.
 	job := testJob(t, Base)
 	job.Timeout = 10 * time.Millisecond
 	start := time.Now()
-	if _, err := eng.Do(context.Background(), job); !IsClosed(err) {
+	if _, err := eng.Do(context.Background(), job); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("per-job timeout: got %v", err)
 	}
 	if time.Since(start) > 5*time.Second {
@@ -157,7 +158,7 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 	eng.Close()
 
 	for i, tk := range tickets {
-		if _, err := tk.Wait(context.Background()); !IsClosed(err) {
+		if _, err := tk.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 			t.Errorf("ticket %d: close surfaced as %v", i, err)
 		}
 	}

@@ -103,13 +103,12 @@ type Job struct {
 	Approach Approach
 	// Options carries the core run configuration. For virtual-library
 	// approaches only Scheme, EDLCost and Method participate; the rest
-	// is canonicalized away before hashing. StaOverride is rejected —
+	// is canonicalized away before hashing. FixedDelays is rejected —
 	// it cannot be content-addressed.
 	Options core.Options
-	// PostSwap and MaxSizingIter configure the virtual-library flow
-	// (vlib.Options); both are canonicalized to zero for core runs.
-	PostSwap      bool
-	MaxSizingIter int
+	// PostSwap configures the virtual-library flow (vlib.Options); it is
+	// canonicalized to false for core runs.
+	PostSwap bool
 	// Timeout bounds this job's solve (0 = the engine default). It is
 	// wall-clock policy, not work content, so it is not part of the key.
 	Timeout time.Duration
@@ -118,11 +117,10 @@ type Job struct {
 // vlibOptions returns the virtual-library flow options of the job.
 func (j Job) vlibOptions() vlib.Options {
 	return vlib.Options{
-		Scheme:        j.Options.Scheme,
-		EDLCost:       j.Options.EDLCost,
-		Method:        j.Options.Method,
-		PostSwap:      j.PostSwap,
-		MaxSizingIter: j.MaxSizingIter,
+		Scheme:   j.Options.Scheme,
+		EDLCost:  j.Options.EDLCost,
+		Method:   j.Options.Method,
+		PostSwap: j.PostSwap,
 	}
 }
 
@@ -161,9 +159,6 @@ func (j Job) canonical() (Job, error) {
 	if _, err := ParseApproach(string(j.Approach)); err != nil {
 		return Job{}, err
 	}
-	if j.Options.StaOverride != nil {
-		return Job{}, fmt.Errorf("engine: %w: jobs with StaOverride cannot be content-addressed", ErrBadJob)
-	}
 	if j.Options.FixedDelays != nil {
 		// The fixed-delay model exists for the worked example and tests;
 		// its delay map is keyed by node ID, which the cache restore
@@ -178,7 +173,6 @@ func (j Job) canonical() (Job, error) {
 		j.Options.PivotLimit = 0
 	} else {
 		j.PostSwap = false
-		j.MaxSizingIter = 0
 	}
 	return j, nil
 }
@@ -201,9 +195,12 @@ func (j Job) Key() (Key, error) {
 	hashFloats(h, "scheme", c.Options.Scheme.Phi1, c.Options.Scheme.Gamma1,
 		c.Options.Scheme.Phi2, c.Options.Scheme.Gamma2)
 	hashFloats(h, "edl", c.Options.EDLCost)
-	fmt.Fprintf(h, "model %d\nmethod %d\npivot-limit %d\npostswap %t\nsizing-iter %d\n",
+	// "sizing-iter 0" stands where a sizing-iteration knob once hashed
+	// (always 0); dropping the line would move every key, and journals
+	// and disk caches written before would no longer resolve.
+	fmt.Fprintf(h, "model %d\nmethod %d\npivot-limit %d\npostswap %t\nsizing-iter 0\n",
 		int(c.Options.TimingModel), int(c.Options.Method), c.Options.PivotLimit,
-		c.PostSwap, c.MaxSizingIter)
+		c.PostSwap)
 	hashLibrary(h, c.Circuit.Lib)
 	hashCircuit(h, c.Circuit)
 	var k Key

@@ -127,7 +127,6 @@ func TestKeyCanonicalizesIrrelevantOptions(t *testing.T) {
 	plain := mustKey(t, testJob(t, GRAR))
 	noisy := testJob(t, GRAR)
 	noisy.PostSwap = true
-	noisy.MaxSizingIter = 7
 	noisy.Timeout = 3 * time.Second
 	if k := mustKey(t, noisy); k != plain {
 		t.Error("vlib-only fields leaked into a core job's key")
@@ -156,12 +155,6 @@ func TestKeyRejectsUnaddressableJobs(t *testing.T) {
 	cases := map[string]Job{
 		"nil circuit":  {Approach: GRAR, Options: good},
 		"bad approach": {Circuit: c, Approach: "frob", Options: good},
-		"sta override": {Circuit: c, Approach: GRAR, Options: func() core.Options {
-			o := good
-			opt := sta.DefaultOptions(lib)
-			o.StaOverride = &opt
-			return o
-		}()},
 		"fixed delays": {Circuit: c, Approach: GRAR, Options: func() core.Options {
 			o := good
 			o.FixedDelays = map[int]float64{0: 1}
@@ -178,6 +171,26 @@ func TestKeyRejectsUnaddressableJobs(t *testing.T) {
 	nolib.Lib = nil
 	if _, err := (Job{Circuit: nolib, Approach: GRAR, Options: good}).Key(); err == nil {
 		t.Error("library-less circuit accepted")
+	}
+}
+
+// TestKeyGolden pins the content addresses of two served jobs. A key
+// that moves orphans every journal entry and disk-cache file written
+// under the old one, so a change to the key's serialization must be
+// deliberate and must update these values.
+func TestKeyGolden(t *testing.T) {
+	c := 1.0
+	for ap, want := range map[string]string{
+		"grar": "e1bb6a552c352b85ca9ec021ccab82bc655926bb80a6344b3484bcf524f0b86c",
+		"nvl":  "1e8c19d8aba0ce7529c2a4050c1cd9c62c98c1889f53e68001423162388d1eb3",
+	} {
+		job, err := BuildJob(JobRequest{Bench: "s1196", Approach: ap, C: &c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustKey(t, job).String(); got != want {
+			t.Errorf("s1196 %s at c=1: key %s, want %s", ap, got, want)
+		}
 	}
 }
 

@@ -117,13 +117,34 @@ func requestID(r *http.Request) string {
 	return id
 }
 
-// withRequestID honours an incoming X-Request-Id or mints one, sets it
-// on the response, and threads it through the request context so job
+// maxRequestID bounds an incoming X-Request-Id that the server keeps.
+const maxRequestID = 128
+
+// validRequestID reports whether an incoming request ID may be kept:
+// 1–128 bytes of [A-Za-z0-9._:-]. The ID is echoed, logged and journaled
+// with the job, so anything longer or stranger is replaced.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > maxRequestID {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// withRequestID honours a valid incoming X-Request-Id or mints one, sets
+// it on the response, and threads it through the request context so job
 // submissions can journal it.
 func withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
-		if id == "" {
+		if !validRequestID(id) {
 			var buf [8]byte
 			rand.Read(buf[:])
 			id = hex.EncodeToString(buf[:])

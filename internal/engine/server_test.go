@@ -199,6 +199,73 @@ func TestServerEchoesRequestID(t *testing.T) {
 	}
 }
 
+// TestServerReplacesUnsafeRequestIDs: an incoming X-Request-Id that is
+// too long or holds a byte outside [A-Za-z0-9._:-] is replaced by a
+// minted ID, on the response and in the journal alike.
+func TestServerReplacesUnsafeRequestIDs(t *testing.T) {
+	for _, id := range []string{"req-42", "req-cluster-7f3a", "relbench-cold-0001", "0123456789abcdef", strings.Repeat("x", 128)} {
+		if !validRequestID(id) {
+			t.Errorf("request ID %q rejected", id)
+		}
+	}
+
+	dir := t.TempDir()
+	ts, st := newTestServer(t, func(_ *Config, qcfg *queue.Config, _ *DurableConfig) { qcfg.Dir = dir })
+	body, err := json.Marshal(JobRequest{Verilog: testSource, Approach: "grar"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsafe := []string{strings.Repeat("a", 4096), "req 42"}
+	for _, id := range unsafe {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body))
+		req.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var js jobStatus
+		json.NewDecoder(resp.Body).Decode(&js)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit returned %d: %+v", resp.StatusCode, js)
+		}
+		got := resp.Header.Get("X-Request-Id")
+		if got == id || !validRequestID(got) {
+			t.Errorf("X-Request-Id = %.40q, want a minted ID in place of %.40q", got, id)
+		}
+		j, ok := st.q.Get(js.ID)
+		if !ok {
+			t.Fatalf("job %s not in the queue", js.ID)
+		}
+		var env envelope
+		if err := json.Unmarshal(j.Payload, &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.RequestID != got {
+			t.Errorf("journaled request ID %.40q, want the minted %q", env.RequestID, got)
+		}
+	}
+	// Replay the journal from disk: no payload carries a rejected ID.
+	st.d.Close()
+	st.q.Close()
+	replayed, err := queue.Open(queue.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	jobs := replayed.Jobs()
+	if len(jobs) != len(unsafe) {
+		t.Fatalf("journal replays %d jobs, want %d", len(jobs), len(unsafe))
+	}
+	for _, j := range jobs {
+		for _, id := range unsafe {
+			if bytes.Contains(j.Payload, []byte(id)) {
+				t.Errorf("journaled payload of %s holds the rejected request ID %.40q", j.ID, id)
+			}
+		}
+	}
+}
+
 func TestServerShedsWith429WhenFull(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)

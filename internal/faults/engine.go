@@ -160,8 +160,7 @@ func engineFaults(lib *cell.Library) []Fault {
 				if err != nil {
 					return err
 				}
-				opt := sta.DefaultOptions(lib)
-				job.Options.StaOverride = &opt
+				job.Options.FixedDelays = map[int]float64{0: 1}
 				_, err = eng.Do(ctx, job)
 				return err
 			},

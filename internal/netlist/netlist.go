@@ -302,23 +302,6 @@ func (c *Circuit) FaninCone(t *Node) []*Node {
 	return cone
 }
 
-// FanoutCone returns the set of node IDs reachable from s, including s.
-func (c *Circuit) FanoutCone(s *Node) map[int]bool {
-	cone := make(map[int]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if cone[n.ID] {
-			return
-		}
-		cone[n.ID] = true
-		for _, f := range n.Fanout {
-			walk(f)
-		}
-	}
-	walk(s)
-	return cone
-}
-
 // Edges returns every distinct edge of the cloud in a stable order.
 func (c *Circuit) Edges() []Edge {
 	seen := make(map[Edge]bool)

@@ -211,14 +211,6 @@ type Stats struct {
 	// queued + retrying + leased.
 	Depth    int `json:"depth"`
 	Capacity int `json:"capacity"`
-
-	Enqueued     int64 `json:"enqueued"`
-	Completed    int64 `json:"completed"`
-	Retries      int64 `json:"retries"`
-	DeadTotal    int64 `json:"dead_total"`
-	LeaseExpired int64 `json:"lease_expired"`
-	Shed         int64 `json:"shed"`
-	Recovered    int64 `json:"recovered"`
 }
 
 // openDirs guards against two queues in one process sharing a journal
@@ -244,7 +236,6 @@ type Queue struct {
 	order   []string        // guarded by mu (submission order)
 	nextID  uint64          // guarded by mu
 	nextSeq uint64          // guarded by mu
-	counts  Stats           // guarded by mu
 	closed  bool            // guarded by mu
 	crashed error           // guarded by mu
 }
@@ -286,7 +277,6 @@ func Open(cfg Config) (*Queue, error) {
 		jb.LastError = "recovered: lease cut by restart"
 		jb.NextRetry = time.Time{}
 		jb.LeaseExpiry = time.Time{}
-		q.counts.Recovered++
 		cfg.Metrics.Add(`relatch_queue_jobs_total{event="recovered"}`, 1)
 		if jb.Attempts >= jb.MaxAttempts {
 			if err := q.markDeadLocked(jb, jb.Attempts, jb.LastError); err != nil {
@@ -378,17 +368,6 @@ func (q *Queue) replay(recs []record) {
 				jb.Lease, jb.LeaseExpiry = 0, time.Time{}
 			}
 		}
-	}
-	// Rebuild lifetime counters that survive restarts only approximately:
-	// current states are exact, totals restart from the replayed view.
-	for _, id := range q.order {
-		switch q.jobs[id].State {
-		case StateDone:
-			q.counts.Completed++
-		case StateDead:
-			q.counts.DeadTotal++
-		}
-		q.counts.Enqueued++
 	}
 }
 
@@ -529,7 +508,6 @@ func (q *Queue) Enqueue(key string, payload []byte) (Job, error) {
 		return Job{}, err
 	}
 	if q.liveLocked() >= q.cfg.Capacity {
-		q.counts.Shed++
 		q.cfg.Metrics.Add(`relatch_queue_jobs_total{event="shed"}`, 1)
 		return Job{}, fmt.Errorf("queue: %w: %d live jobs at capacity %d", ErrFull, q.liveLocked(), q.cfg.Capacity)
 	}
@@ -555,7 +533,6 @@ func (q *Queue) Enqueue(key string, payload []byte) (Job, error) {
 	q.nextID = nextID
 	q.jobs[jb.ID] = jb
 	q.order = append(q.order, jb.ID)
-	q.counts.Enqueued++
 	q.cfg.Metrics.Add(`relatch_queue_jobs_total{event="enqueued"}`, 1)
 	q.publishStageLocked(jb.ID, "queued")
 	if err := q.maybeCompactLocked(); err != nil {
@@ -646,7 +623,6 @@ func (q *Queue) Complete(id string, lease uint64, provenance []byte) error {
 	jb.LastError = ""
 	jb.Lease, jb.LeaseExpiry = 0, time.Time{}
 	q.observeLeaseHoldLocked(jb)
-	q.counts.Completed++
 	q.cfg.Metrics.Add(`relatch_queue_jobs_total{event="completed"}`, 1)
 	q.publishStageLocked(jb.ID, "done")
 	q.trimTerminalLocked()
@@ -753,7 +729,6 @@ func (q *Queue) failLocked(jb *job, cause string) error {
 	jb.Lease, jb.LeaseExpiry = 0, time.Time{}
 	q.observeLeaseHoldLocked(jb)
 	q.hRetryDelay.Observe(delay)
-	q.counts.Retries++
 	q.cfg.Metrics.Add("relatch_queue_retries_total", 1)
 	q.publishStageLocked(jb.ID, "retrying")
 	return q.maybeCompactLocked()
@@ -773,7 +748,6 @@ func (q *Queue) markDeadLocked(jb *job, attempts int, cause string) error {
 	jb.LastError = cause
 	jb.Lease, jb.LeaseExpiry = 0, time.Time{}
 	q.observeLeaseHoldLocked(jb)
-	q.counts.DeadTotal++
 	q.cfg.Metrics.Add("relatch_queue_dead_total", 1)
 	q.publishStageLocked(jb.ID, "dead")
 	q.trimTerminalLocked()
@@ -810,7 +784,6 @@ func (q *Queue) ExpireLeases() (int, error) {
 			continue
 		}
 		expired++
-		q.counts.LeaseExpired++
 		q.cfg.Metrics.Add("relatch_queue_lease_expired_total", 1)
 		if err := q.failLocked(jb, fmt.Sprintf("lease expired after %v", q.cfg.LeaseTTL)); err != nil {
 			return expired, err
@@ -885,11 +858,12 @@ func (q *Queue) Full() bool {
 // consistently with the queue's own backoff decisions.
 func (q *Queue) Now() time.Time { return q.cfg.Clock() }
 
-// Stats returns a snapshot of the queue's counters.
+// Stats returns a snapshot of the queue's per-state job counts. The
+// cumulative transition counts live in Config.Metrics.
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := q.counts
+	var s Stats
 	now := q.cfg.Clock()
 	for _, id := range q.order {
 		jb := q.jobs[id]

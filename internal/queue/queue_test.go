@@ -44,7 +44,8 @@ func openTest(t *testing.T, cfg Config) *Queue {
 }
 
 func TestLifecycleQueuedLeasedDone(t *testing.T) {
-	q := openTest(t, Config{})
+	reg := obs.NewRegistry()
+	q := openTest(t, Config{Metrics: reg})
 	j, err := q.Enqueue("key-a", []byte(`{"n":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +69,11 @@ func TestLifecycleQueuedLeasedDone(t *testing.T) {
 		t.Fatalf("done job = %+v", got)
 	}
 	st := q.Stats()
-	if st.Done != 1 || st.Completed != 1 || st.Depth != 0 {
+	if st.Done != 1 || st.Depth != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if n := reg.Counter(`relatch_queue_jobs_total{event="completed"}`); n != 1 {
+		t.Errorf("completed = %d", n)
 	}
 }
 
@@ -142,7 +146,8 @@ func TestBackoffGrowsExponentiallyWithCap(t *testing.T) {
 }
 
 func TestCapacitySheds(t *testing.T) {
-	q := openTest(t, Config{Capacity: 2})
+	reg := obs.NewRegistry()
+	q := openTest(t, Config{Capacity: 2, Metrics: reg})
 	for i := 0; i < 2; i++ {
 		if _, err := q.Enqueue(fmt.Sprintf("k%d", i), nil); err != nil {
 			t.Fatal(err)
@@ -154,8 +159,8 @@ func TestCapacitySheds(t *testing.T) {
 	if !q.Full() {
 		t.Error("Full() = false at capacity")
 	}
-	if st := q.Stats(); st.Shed != 1 {
-		t.Errorf("shed = %d", st.Shed)
+	if n := reg.Counter(`relatch_queue_jobs_total{event="shed"}`); n != 1 {
+		t.Errorf("shed = %d", n)
 	}
 	// Completing a job frees a slot.
 	leased, _, _ := q.Lease()
@@ -222,7 +227,8 @@ func TestReopenRecoversQueuedAndLeased(t *testing.T) {
 	}
 	q.Close() // simulated crash: the leased job never settles
 
-	q2 := openTest(t, Config{Dir: dir})
+	reg := obs.NewRegistry()
+	q2 := openTest(t, Config{Dir: dir, Metrics: reg})
 	ra, ok := q2.Get(a.ID)
 	if !ok || ra.State != StateQueued || ra.Attempts != 1 || ra.Key != "key-a" {
 		t.Fatalf("recovered in-flight job = %+v", ra)
@@ -235,8 +241,8 @@ func TestReopenRecoversQueuedAndLeased(t *testing.T) {
 	if !ok || rc.State != StateQueued || rc.Attempts != 0 || string(rc.Payload) != "pc" {
 		t.Fatalf("recovered queued job = %+v", rc)
 	}
-	if st := q2.Stats(); st.Recovered != 1 {
-		t.Errorf("recovered = %d", st.Recovered)
+	if n := reg.Counter(`relatch_queue_jobs_total{event="recovered"}`); n != 1 {
+		t.Errorf("recovered = %d", n)
 	}
 	// New IDs continue past the recovered ones.
 	d, err := q2.Enqueue("key-d", nil)

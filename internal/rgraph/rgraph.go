@@ -116,8 +116,7 @@ type Graph struct {
 	cuts     map[int][]int // memoised CutSet results by output ID
 	db       []float64     // cutSet scratch: D^b to one target, NaN off its cone
 	below    []bool        // cutSet scratch: a cut member at or downstream
-	dbMax    []float64
-	dbAdj    []float64 // required-time-adjusted backward delays
+	dbAdj    []float64     // required-time-adjusted backward delays
 	lp       *flow.DiffLP
 	host     int
 	varOf    []int       // node ID -> variable
@@ -195,7 +194,6 @@ func BuildCtx(ctx context.Context, c *netlist.Circuit, t *sta.Timing, cfg Config
 // V_n (must not retime through, constraint (6)) and V_r.
 func (g *Graph) computeRegions() error {
 	dbMax := g.T.DbMax()
-	g.dbMax = dbMax
 	fwd := g.Cfg.Scheme.ForwardLimit()
 	bwd := g.Cfg.Scheme.BackwardLimit()
 	for _, n := range g.C.Nodes {

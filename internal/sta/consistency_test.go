@@ -8,6 +8,7 @@ import (
 	"relatch/internal/bench"
 	"relatch/internal/cell"
 	"relatch/internal/clocking"
+	"relatch/internal/fig4"
 	"relatch/internal/netlist"
 	"relatch/internal/sta"
 )
@@ -15,7 +16,7 @@ import (
 // TestEquationFiveMatchesLatchedAnalysis is the consistency property the
 // whole retiming model rests on: for any legal single-latch-per-path
 // placement, the latch-aware arrival at an endpoint equals the maximum of
-// Eq. (5)'s AFrom over the latched drivers in its fan-in cone — i.e. the
+// Eq. (5)'s aFrom over the latched drivers in its fan-in cone — i.e. the
 // LP's timing model and the sign-off analysis are the same function.
 func TestEquationFiveMatchesLatchedAnalysis(t *testing.T) {
 	lib := cell.Default(1.0)
@@ -86,8 +87,45 @@ func randomLegalRetiming(c *netlist.Circuit, rng *rand.Rand) map[int]int {
 	return r
 }
 
+// aFrom computes the arrival at the target when a physical slave latch
+// sits at the *output* of node u (covering all of u's latched fanout
+// edges): max over fanout edges of A(u,v,t), which collapses to
+// max{φ1+γ1+ClkToQ, D^f(u)+DToQ} + D^b(u,t).
+func aFrom(tm *sta.Timing, u *netlist.Node, db []float64, s clocking.Scheme, l cell.Latch) float64 {
+	if math.IsNaN(db[u.ID]) {
+		return math.NaN()
+	}
+	launch := s.SlaveOpen() + l.ClkToQ
+	if d := tm.Df(u) + l.DToQ; d > launch {
+		launch = d
+	}
+	return launch + db[u.ID]
+}
+
+func TestFig4AFrom(t *testing.T) {
+	c := fig4.MustCircuit()
+	tm := sta.Analyze(c, sta.Options{Model: sta.ModelFixed, FixedDelays: fig4.FixedDelays(c)})
+	node := func(name string) *netlist.Node {
+		n, ok := c.Node(name)
+		if !ok {
+			t.Fatalf("node %s missing", name)
+		}
+		return n
+	}
+	db := tm.BackwardMap(node("O9"))
+	s := fig4.Scheme()
+	l := fig4.ZeroLatch()
+	// A latch at G6's output: max(5, 7) + D^b(G6) = 9; at G3's output:
+	// max(5, 2) + D^b(G3) = 12 (Cut1's arrival).
+	for name, want := range map[string]float64{"G6": 9, "G3": 12} {
+		if got := aFrom(tm, node(name), db, s, l); got != want {
+			t.Errorf("aFrom(%s) = %g, want %g", name, got, want)
+		}
+	}
+}
+
 // eqFiveArrival computes max over latched drivers u in FIC(o) of
-// AFrom(u, o) — the Eq. (5) view of the endpoint arrival.
+// aFrom(u, o) — the Eq. (5) view of the endpoint arrival.
 func eqFiveArrival(tm *sta.Timing, c *netlist.Circuit, p *netlist.Placement, o *netlist.Node, s clocking.Scheme, l cell.Latch) float64 {
 	db := tm.BackwardMap(o)
 	cone := make(map[int]bool)
@@ -113,7 +151,7 @@ func eqFiveArrival(tm *sta.Timing, c *netlist.Circuit, p *netlist.Placement, o *
 		launchOnly = false
 		// Per-edge accuracy: only latched edges inside the cone count.
 		if p.AtInput[u.ID] {
-			if a := tm.AFrom(u, db, s, l); a > worst {
+			if a := aFrom(tm, u, db, s, l); a > worst {
 				worst = a
 			}
 			continue

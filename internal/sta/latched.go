@@ -103,11 +103,10 @@ const timingEpsilon = 1e-9
 
 // Violation describes a timing-legality failure of a placement.
 type Violation struct {
-	Node   *netlist.Node
-	Kind   string // "slave-setup" or "endpoint-setup"
-	Have   float64
-	Limit  float64
-	Target *netlist.Node // endpoint involved, if any
+	Node  *netlist.Node
+	Kind  string // "slave-setup" or "endpoint-setup"
+	Have  float64
+	Limit float64
 }
 
 func (v Violation) String() string {

@@ -251,9 +251,6 @@ func (t *Timing) EdgeDelay(u, v *netlist.Node) float64 {
 // Df returns the forward arrival D^f at the output of n.
 func (t *Timing) Df(n *netlist.Node) float64 { return t.arrival[n.ID] }
 
-// Slew returns the output transition time at n.
-func (t *Timing) Slew(n *netlist.Node) float64 { return t.slew[n.ID] }
-
 // Load returns the capacitive load at the output of n.
 func (t *Timing) Load(n *netlist.Node) float64 { return t.load[n.ID] }
 
@@ -342,21 +339,6 @@ func (t *Timing) A(u, v *netlist.Node, db []float64, s clocking.Scheme, l cell.L
 		launch = d
 	}
 	return launch + t.EdgeDelay(u, v) + db[v.ID]
-}
-
-// AFrom computes the arrival at the target when a physical slave latch
-// sits at the *output* of node u (covering all of u's latched fanout
-// edges): max over fanout edges of A(u,v,t), which collapses to
-// max{φ1+γ1+ClkToQ, D^f(u)+DToQ} + D^b(u,t).
-func (t *Timing) AFrom(u *netlist.Node, db []float64, s clocking.Scheme, l cell.Latch) float64 {
-	if math.IsNaN(db[u.ID]) {
-		return math.NaN()
-	}
-	launch := s.SlaveOpen() + l.ClkToQ
-	if d := t.arrival[u.ID] + l.DToQ; d > launch {
-		launch = d
-	}
-	return launch + db[u.ID]
 }
 
 // NearCritical returns the endpoints whose flip-flop-design arrival

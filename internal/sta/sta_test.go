@@ -82,22 +82,6 @@ func TestFig4EquationFive(t *testing.T) {
 	}
 }
 
-func TestFig4AFrom(t *testing.T) {
-	c, tm := fig4Timing(t)
-	o9 := node(t, c, "O9")
-	db := tm.BackwardMap(o9)
-	s := fig4.Scheme()
-	l := fig4.ZeroLatch()
-	// A latch at G6's output: max(5, 7) + D^b(G6) = 9.
-	if got := tm.AFrom(node(t, c, "G6"), db, s, l); got != 9 {
-		t.Errorf("AFrom(G6) = %g, want 9", got)
-	}
-	// A latch at G3's output: max(5, 2) + D^b(G3) = 12 (Cut1's arrival).
-	if got := tm.AFrom(node(t, c, "G3"), db, s, l); got != 12 {
-		t.Errorf("AFrom(G3) = %g, want 12", got)
-	}
-}
-
 func TestFig4DbMax(t *testing.T) {
 	c, tm := fig4Timing(t)
 	db := tm.DbMax()

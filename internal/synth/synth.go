@@ -1,9 +1,9 @@
 // Package synth is the mini logic-synthesis substrate standing in for the
-// commercial tool of the paper's flows: a netlist database with
-// report_timing-style queries, a size-only incremental compile (the step
-// both G-RAR and the virtual-library flows run after retiming to fix
-// residual violations, Section VI-B/C), and timing-driven latch-type
-// swapping used by the virtual-library post-retiming step.
+// commercial tool of the paper's flows: a netlist database with cached
+// timing, a size-only incremental compile (the step both G-RAR and the
+// virtual-library flows run after retiming to fix residual violations,
+// Section VI-B/C), and timing-driven latch-type swapping used by the
+// virtual-library post-retiming step.
 package synth
 
 import (
@@ -40,41 +40,6 @@ func (t *Tool) Timing() *sta.Timing {
 
 // Invalidate drops the cached timing after an external circuit edit.
 func (t *Tool) Invalidate() { t.timing = nil }
-
-// PathPoint is one hop of a report_timing path.
-type PathPoint struct {
-	Node    *netlist.Node
-	Arrival float64
-}
-
-// PathReport is a report_timing result for one endpoint.
-type PathReport struct {
-	Endpoint *netlist.Node
-	Arrival  float64
-	Required float64
-	Slack    float64
-	Points   []PathPoint
-}
-
-// ReportTiming reports the worst path into the endpoint against the given
-// required time.
-func (t *Tool) ReportTiming(endpoint *netlist.Node, required float64) (PathReport, error) {
-	tm := t.Timing()
-	rep := PathReport{
-		Endpoint: endpoint,
-		Arrival:  tm.Arrival(endpoint),
-		Required: required,
-	}
-	rep.Slack = rep.Required - rep.Arrival
-	path, err := tm.CriticalPathTo(endpoint)
-	if err != nil {
-		return PathReport{}, fmt.Errorf("synth: %w", err)
-	}
-	for _, n := range path {
-		rep.Points = append(rep.Points, PathPoint{Node: n, Arrival: tm.Df(n)})
-	}
-	return rep, nil
-}
 
 // CompileResult summarizes a size-only incremental compile.
 type CompileResult struct {

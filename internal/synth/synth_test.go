@@ -37,28 +37,6 @@ func chain(t *testing.T, n int) *netlist.Circuit {
 func nodeName(i int) string { return "g" + string(rune('a'+i)) }
 func loadName(i int) string { return "ld" + string(rune('a'+i)) }
 
-func TestReportTiming(t *testing.T) {
-	c := chain(t, 5)
-	tool := New(c, sta.DefaultOptions(c.Lib))
-	o := c.Outputs[0]
-	rep, err := tool.ReportTiming(o, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Arrival <= 0 {
-		t.Fatalf("arrival = %g, want positive", rep.Arrival)
-	}
-	if rep.Slack != rep.Required-rep.Arrival {
-		t.Error("slack identity broken")
-	}
-	if len(rep.Points) < 6 {
-		t.Errorf("path has %d points, want input + 5 gates + output", len(rep.Points))
-	}
-	if rep.Points[0].Node.Kind != netlist.KindInput {
-		t.Error("path must start at an input")
-	}
-}
-
 func TestSizeOnlyCompileFixesViolation(t *testing.T) {
 	c := chain(t, 6)
 	tool := New(c, sta.DefaultOptions(c.Lib))

@@ -72,8 +72,6 @@ type Options struct {
 	// adds it to every VL variant after finding it lifts RVL-RAR's high
 	// overhead average improvement from −0.36% to 9.6%.
 	PostSwap bool
-	// MaxSizingIter caps the incremental compile (0 = automatic).
-	MaxSizingIter int
 }
 
 // initialTypes assigns master types per the variant (Section VI-C).
