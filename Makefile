@@ -115,9 +115,12 @@ bench-check:
 # benchmark job over real HTTP, attach an SSE consumer to its events
 # feed, poll it to completion, and require (a) a clean certificate,
 # (b) the full queued → leased → solving → certifying → done stage
-# sequence with a pivot-count progress event on the SSE stream, and
-# (c) per-stage latency histograms and a drained queue-depth gauge on
-# /metrics. Cleans up the server on any exit.
+# sequence with a pivot-count progress event on the SSE stream,
+# (c) an end frame within 2 s for a second consumer attached after the
+# job finished, and (d) per-stage latency histograms, a drained
+# queue-depth gauge and the job's span totals (one queue.job root, no
+# process-wide serve root) on /metrics. Cleans up the server on any
+# exit.
 SERVEADDR ?= 127.0.0.1:18417
 serve-smoke:
 	$(GO) build -o build/rar ./cmd/rar
@@ -161,6 +164,15 @@ serve-smoke:
 		|| { echo "serve-smoke: no pivots progress event on the SSE stream"; exit 1; }; \
 	grep -q '^event: end' build/serve-sse.out \
 		|| { echo "serve-smoke: SSE stream did not finish with an end event"; exit 1; }; \
+	curl -sS -N -m 2 http://$(SERVEADDR)/jobs/$$id/events > build/serve-sse-late.out || true; \
+	grep -q '^event: end' build/serve-sse-late.out \
+		|| { echo "serve-smoke: a consumer attached after the job finished got no end frame within 2s"; \
+			cat build/serve-sse-late.out; exit 1; }; \
+	curl -fsS http://$(SERVEADDR)/metrics > build/serve-metrics.out; \
+	grep -q '^relatch_span_total{span="queue.job"} 1$$' build/serve-metrics.out \
+		|| { echo "serve-smoke: metrics missing the job's queue.job span total"; exit 1; }; \
+	! grep -q 'span="serve"' build/serve-metrics.out \
+		|| { echo "serve-smoke: metrics still carry a process-wide serve span"; exit 1; }; \
 	curl -fsS http://$(SERVEADDR)/metrics | grep -q '^relatch_engine_submitted_total 1$$' \
 		|| { echo "serve-smoke: metrics missing submission counter"; exit 1; }; \
 	curl -fsS http://$(SERVEADDR)/metrics \

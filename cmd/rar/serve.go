@@ -49,9 +49,7 @@ func runServe(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	tr := obs.New("serve")
-	defer tr.Finish()
-	stream := tr.EnableStream(0)
+	stream := obs.NewStream(0)
 	defer stream.Close()
 	logger := obs.NewLogger(os.Stderr, slog.LevelInfo)
 	metrics := obs.NewRegistry()
@@ -105,7 +103,6 @@ func runServe(ctx context.Context, o options) error {
 	d, err := engine.NewDurable(engine.DurableConfig{
 		Engine:  eng,
 		Queue:   q,
-		Tracer:  tr,
 		Logger:  logger,
 		Metrics: metrics,
 	})
@@ -115,7 +112,6 @@ func runServe(ctx context.Context, o options) error {
 	defer d.Close()
 	srv, err := engine.NewServer(engine.ServerConfig{
 		Durable:        d,
-		Tracer:         tr,
 		Metrics:        metrics,
 		Logger:         logger,
 		RequestTimeout: o.serveTimeout,

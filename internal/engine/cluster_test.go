@@ -64,7 +64,6 @@ func threeNodes(t *testing.T, mutate func(i int, scfg *ServerConfig)) []*cluster
 		st.eng.Cache().SetPeer(cn.FetchEntry)
 		scfg := ServerConfig{
 			Durable:        st.d,
-			Tracer:         st.tr,
 			Metrics:        st.metrics,
 			RequestTimeout: 30 * time.Second,
 			Stream:         st.stream,
@@ -111,18 +110,10 @@ func jobAndKey(t *testing.T, req JobRequest) (Job, Key) {
 	return job, key
 }
 
-// traceText renders a node's full trace outline.
-func traceText(n *clusterNode) string {
-	var buf bytes.Buffer
-	n.st.tr.Report().WriteText(&buf)
-	return buf.String()
-}
-
-// TestClusterForwardsToOwnerWithRequestID proves the sharding contract
-// and satellite 1: a submission to a non-owner is forwarded to the
-// owner shard, completes there, and the client's X-Request-Id appears
-// on both nodes' traces — the forward leg on the sender, the job span
-// on the owner.
+// TestClusterForwardsToOwnerWithRequestID proves the sharding contract:
+// a submission to a non-owner is forwarded to the owner shard and
+// completes there, the sender counts one cluster.forward span, and the
+// client's X-Request-Id reaches the owner's journal with the job.
 func TestClusterForwardsToOwnerWithRequestID(t *testing.T) {
 	nodes := threeNodes(t, nil)
 	req := JobRequest{Verilog: testSource, Approach: "grar"}
@@ -160,20 +151,25 @@ func TestClusterForwardsToOwnerWithRequestID(t *testing.T) {
 	if done.Status != "done" || done.Result == nil || !done.Result.Certified {
 		t.Fatalf("forwarded job ended %+v", done)
 	}
-	// The owner's queue holds the job; the sender's does not.
-	if _, ok := byID(nodes, owner).st.q.Get(js.ID); !ok {
+	// The owner's queue holds the job, journaled with the client's
+	// request ID; the sender's queue does not.
+	oj, ok := byID(nodes, owner).st.q.Get(js.ID)
+	if !ok {
 		t.Fatalf("owner %s has no record of job %s", owner, js.ID)
+	}
+	var env envelope
+	if err := json.Unmarshal(oj.Payload, &env); err != nil || env.RequestID != reqID {
+		t.Errorf("owner journaled request ID %q (err %v), want %s", env.RequestID, err, reqID)
 	}
 	if _, ok := sender.st.q.Get(js.ID); ok {
 		t.Fatalf("sender %s ran job %s locally despite forwarding", sender.id, js.ID)
 	}
-
-	// Satellite 1: the same request ID on both traces.
-	if txt := traceText(sender); !strings.Contains(txt, reqID) || !strings.Contains(txt, "cluster.forward") {
-		t.Errorf("sender trace missing the forward span with %s:\n%s", reqID, txt)
+	var scrape bytes.Buffer
+	if err := sender.st.metrics.WriteMetrics(&scrape); err != nil {
+		t.Fatal(err)
 	}
-	if txt := traceText(byID(nodes, owner)); !strings.Contains(txt, reqID) {
-		t.Errorf("owner trace missing request ID %s:\n%s", reqID, txt)
+	if !strings.Contains(scrape.String(), "relatch_span_total{span=\"cluster.forward\"} 1\n") {
+		t.Errorf("sender metrics lack one cluster.forward span:\n%s", scrape.String())
 	}
 
 	if got := sender.st.metrics.Counter(obs.Label(obs.MetricClusterForward, "outcome", "ok")); got != 1 {

@@ -20,14 +20,15 @@ type DurableConfig struct {
 	// the only store of job results. The caller owns its lifecycle.
 	Engine *Engine
 	// Queue is the write-ahead journaled job queue. Required; the caller
-	// owns its lifecycle and closes it after the Durable is closed.
+	// owns its lifecycle and closes it after the Durable is closed. Each
+	// pumped job's live feed is published into the queue's Events stream.
 	Queue *queue.Queue
-	// Tracer parents the span of every pumped job (nil = no tracing).
-	Tracer *obs.Tracer
 	// Logger receives pump lifecycle logs (nil = discard).
 	Logger *slog.Logger
-	// Metrics, when non-nil, receives readiness gauges; the queue's own
-	// transition metrics are configured on the queue.
+	// Metrics, when non-nil, receives readiness gauges and the span
+	// totals of every job pumped and every done-job result rebuilt from
+	// the cache; the queue's own transition metrics are configured on the
+	// queue.
 	Metrics *obs.Registry
 	// Poll is the idle sleep between lease attempts when the queue has
 	// nothing eligible. ≤ 0 means 25ms.
@@ -105,7 +106,7 @@ func NewDurable(cfg DurableConfig) (*Durable, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.DiscardLogger()
 	}
-	ctx, cancel := context.WithCancel(obs.WithTracer(context.Background(), cfg.Tracer))
+	ctx, cancel := context.WithCancel(context.Background())
 	d := &Durable{cfg: cfg, ctx: ctx, cancel: cancel}
 	// Seed the poisoning watermark so pre-existing counts (a reused
 	// cache dir) don't flip readiness at startup.
@@ -202,9 +203,9 @@ func (d *Durable) Result(ctx context.Context, j queue.Job) (queue.Job, *Outcome,
 
 // lookup finds a done job's outcome in the engine cache: memory under
 // the journaled key, then every layer for the job rebuilt from its
-// journaled request, traced like the pump's jobs. A payload that no
-// longer builds is a miss; the re-enqueued job then dead-letters in the
-// pump.
+// journaled request, traced under its own queue.result root like the
+// pump's jobs. A payload that no longer builds is a miss; the
+// re-enqueued job then dead-letters in the pump.
 func (d *Durable) lookup(ctx context.Context, j queue.Job) (*Outcome, bool) {
 	if key, err := ParseKey(j.Key); err == nil {
 		if out, ok := d.cfg.Engine.Cache().Memory(key); ok {
@@ -215,7 +216,9 @@ func (d *Durable) lookup(ctx context.Context, j queue.Job) (*Outcome, bool) {
 	if err := json.Unmarshal(j.Payload, &env); err != nil {
 		return nil, false
 	}
-	return d.CachedOutcome(obs.WithTracer(ctx, d.cfg.Tracer), env.Req)
+	tr := obs.New("queue.result")
+	defer d.cfg.Metrics.Fold(tr)
+	return d.CachedOutcome(obs.WithTracer(ctx, tr), env.Req)
 }
 
 // Saturated reports whether every engine worker slot is busy.
@@ -271,11 +274,13 @@ func (d *Durable) worker() {
 // solve errors consume one attempt and retry with backoff (Fail);
 // anything uncertified is refused — a job settles done only once the
 // engine cache holds a result the certifier passed. The completion
-// journals provenance only.
+// journals provenance only. The job is traced by a tracer of its own,
+// rooted at queue.job, whose hook feeds the job's SSE frames; on return
+// its spans fold into the metrics totals and the tree is dropped.
 func (d *Durable) process(j queue.Job) {
-	sp, ctx := obs.StartSpan(d.ctx, "queue.job")
-	defer sp.End()
-	sp.SetScope(j.ID)
+	tr := obs.NewWithHook("queue.job", feed(d.cfg.Queue.Events(), j.ID))
+	defer d.cfg.Metrics.Fold(tr)
+	sp, ctx := tr.Root(), obs.WithTracer(d.ctx, tr)
 	sp.Attr("id", j.ID)
 	sp.Attr("attempt", fmt.Sprintf("%d", j.Attempts+1))
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -363,5 +364,43 @@ func TestDurableKillsUnbuildableJobs(t *testing.T) {
 	got := waitSettled(t, q, j.ID)
 	if got.State != queue.StateDead || got.Attempts != 1 {
 		t.Fatalf("unbuildable job = %+v", got)
+	}
+}
+
+// TestServeKeepsNothingOfFinishedJobs pumps warm G-RAR jobs through the
+// serving stack and requires a flat heap: a settled job's trace lives
+// on only as per-name metric totals, and the queue keeps a bounded
+// number of terminal jobs.
+func TestServeKeepsNothingOfFinishedJobs(t *testing.T) {
+	st := newTestStack(t, func(_ *Config, qcfg *queue.Config, _ *DurableConfig) {
+		qcfg.RetainTerminal = 8
+	})
+	req := JobRequest{Verilog: testSource, Approach: "grar"}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			j, err := st.d.Enqueue(req, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j := waitSettled(t, st.q, j.ID); j.State != queue.StateDone {
+				t.Fatalf("job %s ended %s", j.ID, j.State)
+			}
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	run(100)
+	before := heap()
+	const more = 400
+	run(more)
+	grown := heap() - before
+	t.Logf("heap grew %d B over %d finished jobs (%d B/job)", grown, more, grown/more)
+	if grown/more >= 500 {
+		t.Fatalf("heap grew %d B/job, want under 500 B/job", grown/more)
 	}
 }

@@ -43,11 +43,9 @@ type ServerConfig struct {
 	// Required. The server does not own its lifecycle: the caller closes
 	// it (then the queue, then the engine) after shutdown.
 	Durable *Durable
-	// Tracer, when non-nil, backs /metrics and is attached to every
-	// submitted job's context.
-	Tracer *obs.Tracer
-	// Metrics, when non-nil, is rendered into /metrics alongside the
-	// tracer report (the queue's transition counters live here).
+	// Metrics, when non-nil, is rendered into /metrics and receives each
+	// forward's span totals. Serve mode shares it with the queue and the
+	// durable layer, so their counters and span totals render there too.
 	Metrics *obs.Registry
 	// Logger receives request/submission logs (nil = discard).
 	Logger *slog.Logger
@@ -56,15 +54,10 @@ type ServerConfig struct {
 	// The SSE events route is exempt: it is long-lived by design and
 	// bounded by client disconnect and stream close instead.
 	RequestTimeout time.Duration
-	// Stream, when non-nil, feeds GET /jobs/{id}/events: the live
-	// span/stage event stream the queue and tracer publish into. Without
-	// it the events route answers 501.
+	// Stream, when non-nil, feeds GET /jobs/{id}/events: the live stream
+	// the queue publishes stage events into and the pump publishes each
+	// job's solver feed into. Without it the events route answers 501.
 	Stream *obs.Stream
-	// SSEHeartbeat is the idle interval between `: heartbeat` comment
-	// lines on an events stream (0 = defaultHeartbeat). Heartbeats keep
-	// proxies from idling out the connection and bound how long a
-	// handler lingers after the client vanishes.
-	SSEHeartbeat time.Duration
 	// Cluster, when non-nil, makes this node one shard of a multi-node
 	// deployment: submissions for keys another node owns are forwarded
 	// there, the internal peer routes (/internal/v1/...) are mounted,
@@ -376,11 +369,11 @@ func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, req JobRe
 	if local {
 		return false
 	}
-	// The request context carries no tracer (jobs are normally traced by
-	// the durable layer); attach the server's so the forward leg shows up
-	// in this node's trace with the request ID on it.
-	sp, ctx := obs.StartSpan(obs.WithTracer(r.Context(), s.cfg.Tracer), "cluster.forward")
-	defer sp.End()
+	// The forward leg is traced under its own cluster.forward root; its
+	// spans fold into the metrics totals when it returns.
+	tr := obs.New("cluster.forward")
+	defer s.cfg.Metrics.Fold(tr)
+	sp, ctx := tr.Root(), obs.WithTracer(r.Context(), tr)
 	sp.Attr("peer", peerID)
 	sp.Attr("key", key.Short())
 	sp.Attr("request_id", requestID(r))
@@ -533,12 +526,11 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleMetrics renders the tracer report and the registry, then the
+// handleMetrics renders the registry (span totals included), then the
 // engine counters and the point-in-time gauges, read from Stats at
 // scrape time so each gauge has one writer and one definition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.cfg.Tracer.Report().WriteMetrics(w)
 	s.cfg.Metrics.WriteMetrics(w)
 	eng := s.cfg.Durable.Engine()
 	st := eng.Stats()

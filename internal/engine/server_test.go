@@ -22,7 +22,6 @@ type testStack struct {
 	q       *queue.Queue
 	d       *Durable
 	metrics *obs.Registry
-	tr      *obs.Tracer
 	stream  *obs.Stream
 }
 
@@ -36,8 +35,7 @@ func newTestStack(t *testing.T, mutate func(*Config, *queue.Config, *DurableConf
 	if mutate != nil {
 		mutate(&cfg, &qcfg, &dcfg)
 	}
-	st := &testStack{metrics: obs.NewRegistry(), tr: obs.New("serve-test")}
-	st.stream = st.tr.EnableStream(256)
+	st := &testStack{metrics: obs.NewRegistry(), stream: obs.NewStream(256)}
 	if qcfg.Metrics == nil {
 		qcfg.Metrics = st.metrics
 	}
@@ -46,9 +44,6 @@ func newTestStack(t *testing.T, mutate func(*Config, *queue.Config, *DurableConf
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = st.metrics
-	}
-	if dcfg.Tracer == nil {
-		dcfg.Tracer = st.tr
 	}
 	st.eng = New(cfg)
 	var err error
@@ -72,11 +67,9 @@ func newTestServer(t *testing.T, mutate func(*Config, *queue.Config, *DurableCon
 	st := newTestStack(t, mutate)
 	srv, err := NewServer(ServerConfig{
 		Durable:        st.d,
-		Tracer:         st.tr,
 		Metrics:        st.metrics,
 		RequestTimeout: 30 * time.Second,
 		Stream:         st.stream,
-		SSEHeartbeat:   100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

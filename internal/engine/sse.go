@@ -13,9 +13,11 @@ import (
 	"relatch/internal/queue"
 )
 
-// defaultHeartbeat is the idle interval between SSE heartbeat comments
-// when ServerConfig.SSEHeartbeat is unset.
-const defaultHeartbeat = 5 * time.Second
+// sseHeartbeat is the idle interval between `: heartbeat` comments on
+// an events stream: a keepalive that stops proxies idling the
+// connection out and bounds how long a handler lingers after its client
+// vanished.
+const sseHeartbeat = 5 * time.Second
 
 // spanStage maps pipeline span names to the coarse job stage an SSE
 // consumer sees. Only the spans that mark a stage transition appear
@@ -83,28 +85,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	hb := s.cfg.SSEHeartbeat
-	if hb <= 0 {
-		hb = defaultHeartbeat
-	}
+	// settled is the terminal stage the job had when the handler last
+	// caught up with the ring ("" while it runs).
+	settled := ""
 	for {
-		ev, err := s.nextEvent(r.Context(), sub, hb)
+		ev, err := nextEvent(r.Context(), sub, 0)
+		if errors.Is(err, errIdle) {
+			// Caught up. A settled job's terminal stage may never come: it
+			// left the ring, or Last-Event-ID skipped past it. The queue
+			// publishes each stage under the lock Get takes, so once Get
+			// sees the job settled all its events are in the ring: drain
+			// once more, then report the terminal stage.
+			if settled != "" {
+				writeSSE(w, fl, 0, "stage", sseEvent{Stage: settled})
+				writeSSE(w, fl, 0, "end", sseEvent{Stage: settled})
+				return
+			}
+			if st, done := s.terminalStage(id); done {
+				settled = st
+				continue
+			}
+			if ev, err = nextEvent(r.Context(), sub, sseHeartbeat); errors.Is(err, errIdle) {
+				fmt.Fprint(w, ": heartbeat\n\n")
+				fl.Flush()
+				continue
+			}
+		}
 		switch {
 		case errors.Is(err, obs.ErrLagged):
 			writeSSE(w, fl, 0, "dropped", sseEvent{})
-			continue
-		case errors.Is(err, errHeartbeat):
-			// Idle tick. If the job reached a terminal state but its
-			// stage events already fell off the ring (or finished before
-			// we subscribed to a pruned history), report the terminal
-			// stage instead of heartbeating forever.
-			if st, done := s.terminalStage(id); done {
-				writeSSE(w, fl, 0, "stage", sseEvent{Stage: st})
-				writeSSE(w, fl, 0, "end", sseEvent{Stage: st})
-				return
-			}
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
 			continue
 		case err != nil:
 			// Client gone or stream closed — either way the show is over.
@@ -136,18 +145,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// errHeartbeat is the internal signal that a Next wait idled out while
-// the client is still connected.
-var errHeartbeat = errors.New("heartbeat interval elapsed")
+// errIdle reports that no stream event came within the wait while the
+// client is still connected.
+var errIdle = errors.New("no event within the wait")
 
-// nextEvent waits up to hb for the next stream event, distinguishing a
-// heartbeat-interval idle (client still there) from a real disconnect.
-func (s *Server) nextEvent(parent context.Context, sub *obs.Subscription, hb time.Duration) (obs.StreamEvent, error) {
-	ctx, cancel := context.WithTimeout(parent, hb)
+// nextEvent returns the next stream event, waiting up to wait for one
+// (0 = only what the ring already retains), and tells an idle wait
+// (errIdle) from a real disconnect.
+func nextEvent(parent context.Context, sub *obs.Subscription, wait time.Duration) (obs.StreamEvent, error) {
+	ctx, cancel := context.WithTimeout(parent, wait)
 	defer cancel()
 	ev, err := sub.Next(ctx)
 	if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-		return obs.StreamEvent{}, errHeartbeat
+		return obs.StreamEvent{}, errIdle
 	}
 	return ev, err
 }
@@ -166,6 +176,21 @@ func (s *Server) terminalStage(id string) (string, bool) {
 		return "dead", true
 	}
 	return "", false
+}
+
+// feed returns the tracer hook of the pump's job id: it publishes into
+// the stream, scoped to the job, only the span starts and counters the
+// events route turns into frames. Nil without a stream.
+func feed(stream *obs.Stream, id string) func(obs.StreamEvent) {
+	if stream == nil {
+		return nil
+	}
+	return func(ev obs.StreamEvent) {
+		if _, _, ok := translateEvent(ev); ok {
+			ev.Scope = id
+			stream.Publish(ev)
+		}
+	}
 }
 
 // translateEvent maps a raw stream event to its SSE event kind and

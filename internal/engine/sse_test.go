@@ -2,11 +2,16 @@ package engine
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"relatch/internal/obs"
+	"relatch/internal/queue"
 )
 
 // sseFrame is one parsed SSE frame.
@@ -211,5 +216,103 @@ func TestServerEventsSubscriberCleanup(t *testing.T) {
 			t.Fatalf("subscriber leaked after disconnect: %d attached", st.stream.Subscribers())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServerEventsEndAtOnceForSettledJob follows a done job whose
+// terminal stage the stream will never deliver — a Last-Event-ID resume
+// past its last frame, and a job whose events left the ring — and
+// requires the end frame at once, not at the next keepalive heartbeat.
+func TestServerEventsEndAtOnceForSettledJob(t *testing.T) {
+	ts, st := newTestServer(t, nil)
+	js, resp := postJob(t, ts, JobRequest{Verilog: testSource, Approach: "grar"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit returned %d", resp.StatusCode)
+	}
+	pollDone(t, ts, js.ID)
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	follow := func(what, lastEventID string) []sseFrame {
+		t.Helper()
+		req, _ := http.NewRequest("GET", ts.URL+"/jobs/"+js.ID+"/events", nil)
+		if lastEventID != "" {
+			req.Header.Set("Last-Event-ID", lastEventID)
+		}
+		start := time.Now()
+		eresp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eresp.Body.Close()
+		frames := readSSE(t, bufio.NewReader(eresp.Body), 500)
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: the stream took %v to end, want under 1s", what, took)
+		}
+		if n := len(frames); n == 0 || frames[n-1].event != "end" || !strings.Contains(frames[n-1].data, `"stage":"done"`) {
+			t.Fatalf("%s: stream did not end with a done end frame: %+v", what, frames)
+		}
+		return frames
+	}
+
+	lastID := ""
+	for _, f := range follow("replay", "") {
+		if f.id != "" {
+			lastID = f.id
+		}
+	}
+	follow("resume past the last frame", lastID)
+
+	for i := 0; i < 300; i++ {
+		st.stream.Publish(obs.StreamEvent{Kind: "stage", Scope: "other", Name: "queued"})
+	}
+	follow("events gone from the ring", "")
+}
+
+// TestStreamCarriesOnlyFeedEvents runs one s1196 G-RAR and one s1196
+// NVL job through the stack and counts the stream events scoped to
+// each: the ring holds only what the SSE feed turns into frames —
+// queued, leased, solving, pivots, certifying and done.
+func TestStreamCarriesOnlyFeedEvents(t *testing.T) {
+	st := newTestStack(t, nil)
+	var ids []string
+	for _, ap := range []string{"grar", "nvl"} {
+		j, err := st.d.Enqueue(JobRequest{Bench: "s1196", Approach: ap}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	for _, id := range ids {
+		if j := waitSettled(t, st.q, id); j.State != queue.StateDone {
+			t.Fatalf("job %s ended %s", id, j.State)
+		}
+	}
+
+	sub, err := st.stream.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	byJob := map[string][]string{}
+	for {
+		ev, err := nextEvent(context.Background(), sub, 0)
+		if errors.Is(err, errIdle) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		byJob[ev.Scope] = append(byJob[ev.Scope], ev.Kind+" "+ev.Name)
+	}
+	for _, id := range ids {
+		evs := strings.Join(byJob[id], ", ")
+		if n := len(byJob[id]); n > 6 {
+			t.Errorf("job %s put %d events on the stream, want at most 6: %s", id, n, evs)
+		}
+		for _, want := range []string{"stage queued", "span_start cert.run", "counter pivots", "stage done"} {
+			if !strings.Contains(evs, want) {
+				t.Errorf("job %s's stream events lack %q: %s", id, want, evs)
+			}
+		}
 	}
 }

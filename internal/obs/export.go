@@ -239,66 +239,106 @@ func (r *Report) WriteMetrics(w io.Writer) {
 	if r == nil || r.root == nil {
 		return
 	}
-	type key struct{ span, name string }
-	spanCount := make(map[string]int64)
-	spanSeconds := make(map[string]float64)
-	counters := make(map[key]int64)
-	gauges := make(map[key]int64)
+	r.totals().write(w)
+}
+
+// spanKey names one per-span counter or gauge series.
+type spanKey struct{ span, name string }
+
+// spanTotals aggregates spans by name into the four metric families
+// WriteMetrics renders.
+type spanTotals struct {
+	count    map[string]int64
+	seconds  map[string]float64
+	counters map[spanKey]int64
+	gauges   map[spanKey]int64
+}
+
+func newSpanTotals() *spanTotals {
+	return &spanTotals{
+		count:    make(map[string]int64),
+		seconds:  make(map[string]float64),
+		counters: make(map[spanKey]int64),
+		gauges:   make(map[spanKey]int64),
+	}
+}
+
+// totals aggregates every span of the tree: the one aggregation behind
+// both WriteMetrics and Registry.Fold.
+func (r *Report) totals() *spanTotals {
+	t := newSpanTotals()
 	for _, s := range r.Spans("") {
-		spanCount[s.name]++
-		spanSeconds[s.name] += s.Duration().Seconds()
+		t.count[s.name]++
+		t.seconds[s.name] += s.Duration().Seconds()
 		_, cs, gs, _, _, _ := s.snapshot()
 		for k, v := range cs {
-			counters[key{s.name, k}] += v
+			t.counters[spanKey{s.name, k}] += v
 		}
 		for k, v := range gs {
-			gauges[key{s.name, k}] = v
+			t.gauges[spanKey{s.name, k}] = v
 		}
 	}
+	return t
+}
 
-	names := sortedKeys(spanCount)
+// add merges o into t: counts, durations and counters sum, and o's
+// gauges overwrite t's.
+func (t *spanTotals) add(o *spanTotals) {
+	for k, v := range o.count {
+		t.count[k] += v
+	}
+	for k, v := range o.seconds {
+		t.seconds[k] += v
+	}
+	for k, v := range o.counters {
+		t.counters[k] += v
+	}
+	for k, v := range o.gauges {
+		t.gauges[k] = v
+	}
+}
+
+// write renders the totals as Prometheus text, nothing when no span was
+// counted.
+func (t *spanTotals) write(w io.Writer) {
+	if len(t.count) == 0 {
+		return
+	}
+	names := sortedKeys(t.count)
 	fmt.Fprintln(w, "# HELP relatch_span_total Number of completed pipeline spans by name.")
 	fmt.Fprintln(w, "# TYPE relatch_span_total counter")
 	for _, n := range names {
-		fmt.Fprintf(w, "relatch_span_total{span=%q} %d\n", n, spanCount[n])
+		fmt.Fprintf(w, "relatch_span_total{span=%q} %d\n", n, t.count[n])
 	}
 	fmt.Fprintln(w, "# HELP relatch_span_duration_seconds Wall time spent in pipeline spans by name.")
 	fmt.Fprintln(w, "# TYPE relatch_span_duration_seconds counter")
 	for _, n := range names {
-		fmt.Fprintf(w, "relatch_span_duration_seconds{span=%q} %g\n", n, spanSeconds[n])
+		fmt.Fprintf(w, "relatch_span_duration_seconds{span=%q} %g\n", n, t.seconds[n])
 	}
-
-	ckeys := make([]key, 0, len(counters))
-	for k := range counters {
-		ckeys = append(ckeys, k)
-	}
-	sort.Slice(ckeys, func(i, j int) bool {
-		if ckeys[i].span != ckeys[j].span {
-			return ckeys[i].span < ckeys[j].span
-		}
-		return ckeys[i].name < ckeys[j].name
-	})
 	fmt.Fprintln(w, "# HELP relatch_counter_total Per-span work counters (pivots, augmenting paths, rules fired, ...).")
 	fmt.Fprintln(w, "# TYPE relatch_counter_total counter")
-	for _, k := range ckeys {
-		fmt.Fprintf(w, "relatch_counter_total{span=%q,counter=%q} %d\n", k.span, k.name, counters[k])
+	for _, k := range sortedSpanKeys(t.counters) {
+		fmt.Fprintf(w, "relatch_counter_total{span=%q,counter=%q} %d\n", k.span, k.name, t.counters[k])
 	}
-
-	gkeys := make([]key, 0, len(gauges))
-	for k := range gauges {
-		gkeys = append(gkeys, k)
-	}
-	sort.Slice(gkeys, func(i, j int) bool {
-		if gkeys[i].span != gkeys[j].span {
-			return gkeys[i].span < gkeys[j].span
-		}
-		return gkeys[i].name < gkeys[j].name
-	})
 	fmt.Fprintln(w, "# HELP relatch_gauge Per-span point-in-time values (node counts, LP sizes, ...).")
 	fmt.Fprintln(w, "# TYPE relatch_gauge gauge")
-	for _, k := range gkeys {
-		fmt.Fprintf(w, "relatch_gauge{span=%q,gauge=%q} %d\n", k.span, k.name, gauges[k])
+	for _, k := range sortedSpanKeys(t.gauges) {
+		fmt.Fprintf(w, "relatch_gauge{span=%q,gauge=%q} %d\n", k.span, k.name, t.gauges[k])
 	}
+}
+
+func sortedSpanKeys(m map[spanKey]int64) []spanKey {
+	out := make([]spanKey, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].span != out[j].span {
+			return out[i].span < out[j].span
+		}
+		return out[i].name < out[j].name
+	})
+	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {

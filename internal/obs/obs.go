@@ -24,7 +24,6 @@ package obs
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -35,47 +34,27 @@ type ctxKey struct{}
 // Tracer owns one span tree. The zero value is not usable; call New.
 type Tracer struct {
 	root *Span
-	// stream, when set via EnableStream, receives a live StreamEvent for
-	// every span start/end, counter add and instant event. The atomic
-	// pointer keeps the disabled path one load with no lock.
-	stream atomic.Pointer[Stream]
+	// hook, fixed at construction, sees every span start and counter add
+	// as it happens (nil = none).
+	hook func(StreamEvent)
 }
 
-// New creates a tracer whose root span is open from now until the first
-// Report call that observes it finished (or Finish).
-func New(name string) *Tracer {
-	t := &Tracer{}
+// New creates a tracer whose root span is open from now until Finish.
+func New(name string) *Tracer { return NewWithHook(name, nil) }
+
+// NewWithHook is New with a hook that sees each child span start (kind
+// "span_start", the span name) and each counter add (kind "counter",
+// the counter name, the delta) as it happens: the tap a live feed
+// filters. The hook runs on the recording goroutine, outside every span
+// lock, so it must not block.
+func NewWithHook(name string, hook func(StreamEvent)) *Tracer {
+	t := &Tracer{hook: hook}
 	t.root = &Span{tracer: t, name: name, start: time.Now()}
 	return t
 }
 
 // Root returns the tracer's root span.
 func (t *Tracer) Root() *Span { return t.root }
-
-// EnableStream attaches a live event stream of the given capacity
-// (≤ 0 means DefaultStreamCapacity) to the tracer: from then on every
-// span start/end, counter add and instant event publishes a
-// StreamEvent. The first call wins; later calls return the existing
-// stream. Nil-safe (returns nil, and a nil *Stream is inert).
-func (t *Tracer) EnableStream(capacity int) *Stream {
-	if t == nil {
-		return nil
-	}
-	st := NewStream(capacity)
-	if t.stream.CompareAndSwap(nil, st) {
-		return st
-	}
-	return t.stream.Load()
-}
-
-// Stream returns the tracer's live event stream (nil until
-// EnableStream).
-func (t *Tracer) Stream() *Stream {
-	if t == nil {
-		return nil
-	}
-	return t.stream.Load()
-}
 
 // Finish ends the root span. Idempotent.
 func (t *Tracer) Finish() {
@@ -145,7 +124,6 @@ type Span struct {
 
 	mu       sync.Mutex
 	end      time.Time         // guarded by mu
-	scope    string            // guarded by mu (stream correlation key, inherited by children)
 	counters map[string]int64  // guarded by mu
 	gauges   map[string]int64  // guarded by mu
 	attrs    map[string]string // guarded by mu
@@ -156,46 +134,12 @@ type Span struct {
 func (s *Span) newChild(name string) *Span {
 	c := &Span{tracer: s.tracer, name: name, start: time.Now()}
 	s.mu.Lock()
-	scope := s.scope
 	s.children = append(s.children, c)
 	s.mu.Unlock()
-	c.mu.Lock()
-	c.scope = scope
-	c.mu.Unlock()
-	c.publish("span_start", name, scope, 0)
+	if h := s.tracer.hook; h != nil {
+		h(StreamEvent{Kind: "span_start", Name: name})
+	}
 	return c
-}
-
-// publish forwards one event to the tracer's live stream when one is
-// attached. Callers must not hold s.mu: the stream has its own lock and
-// the span lock must never order under it.
-func (s *Span) publish(kind, name, scope string, value int64) {
-	if st := s.tracer.stream.Load(); st != nil {
-		st.Publish(StreamEvent{Kind: kind, Name: name, Scope: scope, Value: value})
-	}
-}
-
-// SetScope tags the span — and every child started after the call —
-// with a stream correlation key. The serving stack sets the durable job
-// ID here so SSE consumers can filter the process-wide stream down to
-// one job's events.
-func (s *Span) SetScope(scope string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.scope = scope
-	s.mu.Unlock()
-}
-
-// Scope returns the span's stream correlation key ("" on nil or unset).
-func (s *Span) Scope() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scope
 }
 
 // Enabled reports whether the span records anything; callers use it to
@@ -225,16 +169,10 @@ func (s *Span) End() {
 		return
 	}
 	s.mu.Lock()
-	first := s.end.IsZero()
-	if first {
+	if s.end.IsZero() {
 		s.end = time.Now()
 	}
-	dur := s.end.Sub(s.start)
-	scope := s.scope
 	s.mu.Unlock()
-	if first {
-		s.publish("span_end", s.name, scope, int64(dur))
-	}
 }
 
 // endTime returns the recorded end, or the latest descendant activity
@@ -276,9 +214,10 @@ func (s *Span) Add(name string, delta int64) {
 		s.counters = make(map[string]int64)
 	}
 	s.counters[name] += delta
-	scope := s.scope
 	s.mu.Unlock()
-	s.publish("counter", name, scope, delta)
+	if h := s.tracer.hook; h != nil {
+		h(StreamEvent{Kind: "counter", Name: name, Value: delta})
+	}
 }
 
 // Gauge records a point-in-time value (node counts, LP sizes). The last
@@ -315,9 +254,7 @@ func (s *Span) Event(name string) {
 	}
 	s.mu.Lock()
 	s.events = append(s.events, Event{Name: name, At: time.Now()})
-	scope := s.scope
 	s.mu.Unlock()
-	s.publish("event", name, scope, 0)
 }
 
 // Fail records the error as the span's "error" attribute; nil errors are

@@ -232,6 +232,61 @@ func TestWriteMetrics(t *testing.T) {
 	}
 }
 
+// TestRegistryFold: a folded tracer renders in the registry exactly as
+// its report's WriteMetrics does, and a second fold adds to the totals
+// rather than keeping the tree.
+func TestRegistryFold(t *testing.T) {
+	trace := func() *Tracer {
+		tr := New("queue.job")
+		s, _ := StartSpan(WithTracer(context.Background(), tr), "flow.simplex")
+		s.Add("pivots", 10)
+		s.Gauge("arcs", 33)
+		s.End()
+		return tr
+	}
+	reg := NewRegistry()
+	var empty bytes.Buffer
+	if err := reg.WriteMetrics(&empty); err != nil || empty.Len() != 0 {
+		t.Fatalf("empty registry rendered %q (err %v)", empty.String(), err)
+	}
+
+	tr := trace()
+	reg.Fold(tr)
+	if end, _, _, _, _, _ := tr.Root().snapshot(); end.IsZero() {
+		t.Fatal("Fold left the root open")
+	}
+	var want, got bytes.Buffer
+	tr.Report().WriteMetrics(&want)
+	if err := reg.WriteMetrics(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("folded registry renders\n%s\nwant the report's\n%s", got.String(), want.String())
+	}
+
+	reg.Fold(trace())
+	got.Reset()
+	if err := reg.WriteMetrics(&got); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`relatch_span_total{span="queue.job"} 2`,
+		`relatch_span_total{span="flow.simplex"} 2`,
+		`relatch_counter_total{span="flow.simplex",counter="pivots"} 20`,
+		`relatch_gauge{span="flow.simplex",gauge="arcs"} 33`,
+	} {
+		if !strings.Contains(got.String(), line+"\n") {
+			t.Fatalf("after two folds, metrics lack %q:\n%s", line, got.String())
+		}
+	}
+	if err := ValidateMetrics(&got); err != nil {
+		t.Fatal(err)
+	}
+	var nilReg *Registry
+	nilReg.Fold(trace())
+	reg.Fold(nil)
+}
+
 // TestConcurrentSpans: sibling spans recording in parallel must be safe
 // (run under -race in make check).
 func TestConcurrentSpans(t *testing.T) {

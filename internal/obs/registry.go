@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -11,14 +12,16 @@ import (
 // outlives any single traced request — the durable job queue, lease
 // sweeps, recovery replays. Spans cover work that happens inside one
 // context; the registry covers state transitions that happen on
-// background goroutines and must still show up on /metrics. All methods
-// are safe on a nil receiver (no-ops) and for concurrent use, matching
-// the Span conventions.
+// background goroutines and must still show up on /metrics, plus the
+// per-name totals of every trace folded into it. All methods are safe
+// on a nil receiver (no-ops) and for concurrent use, matching the Span
+// conventions.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]int64      // guarded by mu
 	gauges   map[string]int64      // guarded by mu
 	hists    map[string]*Histogram // guarded by mu (the *Histogram itself is lock-free)
+	spans    *spanTotals           // guarded by mu (totals of every folded trace)
 	closed   bool                  // guarded by mu
 }
 
@@ -28,6 +31,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]int64),
 		gauges:   make(map[string]int64),
 		hists:    make(map[string]*Histogram),
+		spans:    newSpanTotals(),
 	}
 }
 
@@ -93,6 +97,25 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Fold finishes the tracer and adds its span tree to the registry's
+// per-name totals, the families Report.WriteMetrics renders. The
+// registry keeps the totals only, so a process that traces each job
+// with its own tracer holds one series per span name, however many
+// jobs it served. The tree is aggregated before the registry lock is
+// taken: no span lock is ever held under it. Nil-safe.
+func (r *Registry) Fold(t *Tracer) {
+	t.Finish()
+	if r == nil || t == nil {
+		return
+	}
+	tot := t.Report().totals()
+	r.mu.Lock()
+	if !r.closed {
+		r.spans.add(tot)
+	}
+	r.mu.Unlock()
+}
+
 // Counter returns a counter's accumulated value (0 when absent).
 func (r *Registry) Counter(name string) int64 {
 	if r == nil {
@@ -113,11 +136,11 @@ func (r *Registry) Gauge(name string) int64 {
 	return r.gauges[name]
 }
 
-// WriteMetrics renders every counter, gauge and histogram in
-// Prometheus text format, sorted by name so output is diff-stable.
-// Histograms render after the scalar lines, with one `# TYPE ...
-// histogram` header per base name even when several label sets share
-// it. A closed registry refuses with a wrapped ErrClosed — scrapes
+// WriteMetrics renders the folded span totals, then every counter,
+// gauge and histogram in Prometheus text format, sorted by name so
+// output is diff-stable. Histograms render after the scalar lines,
+// with one `# TYPE ... histogram` header per base name even when
+// several label sets share it. A closed registry refuses with a wrapped ErrClosed — scrapes
 // racing a teardown get an error, never a half-rendered page.
 func (r *Registry) WriteMetrics(w io.Writer) error {
 	if r == nil {
@@ -128,6 +151,8 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 		r.mu.Unlock()
 		return fmt.Errorf("obs: write metrics: registry %w", ErrClosed)
 	}
+	var spans bytes.Buffer
+	r.spans.write(&spans)
 	lines := make([]string, 0, len(r.counters)+len(r.gauges))
 	for k, v := range r.counters {
 		lines = append(lines, fmt.Sprintf("%s %d", k, v))
@@ -140,6 +165,9 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 		hists = append(hists, r.hists[name])
 	}
 	r.mu.Unlock()
+	if _, err := w.Write(spans.Bytes()); err != nil {
+		return err
+	}
 	sort.Strings(lines)
 	for _, l := range lines {
 		if _, err := fmt.Fprintln(w, l); err != nil {

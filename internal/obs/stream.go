@@ -19,12 +19,12 @@ var (
 	ErrLagged = errors.New("subscriber lagged")
 )
 
-// DefaultStreamCapacity is the ring size used when EnableStream or
-// NewStream gets a non-positive capacity.
+// DefaultStreamCapacity is the ring size used when NewStream gets a
+// non-positive capacity.
 const DefaultStreamCapacity = 4096
 
-// StreamEvent is one live telemetry event: a span lifecycle edge, a
-// counter increment, an instant event, or an explicit lifecycle stage
+// StreamEvent is one live telemetry event: a span start or a counter
+// increment (what a tracer hook sees), or an explicit lifecycle stage
 // published by a state machine (the queue). Scope correlates events to
 // a unit of work — the serving stack sets it to the durable job ID.
 type StreamEvent struct {
@@ -35,12 +35,11 @@ type StreamEvent struct {
 	AtNS int64 `json:"at_ns"`
 	// Scope correlates the event to a unit of work ("" = process-wide).
 	Scope string `json:"scope,omitempty"`
-	// Kind is one of "stage", "span_start", "span_end", "counter",
-	// "event".
+	// Kind is one of "stage", "span_start", "counter".
 	Kind string `json:"kind"`
 	// Name is the stage, span or counter name.
 	Name string `json:"name"`
-	// Value carries the counter delta or the span duration (ns).
+	// Value carries the counter delta.
 	Value int64 `json:"value,omitempty"`
 }
 

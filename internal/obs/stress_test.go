@@ -11,15 +11,15 @@ import (
 )
 
 // TestExporterConcurrencyStress hammers one tracer from writer
-// goroutines (span trees, counters, events — with the live stream
-// enabled so every write also publishes) while reader goroutines
-// concurrently render every export format and registry histograms
-// absorb observations. It asserts nothing beyond "no race, no panic,
+// goroutines (span trees, counters, events — with a hook publishing
+// span starts and counters into a live stream) while reader goroutines
+// concurrently render every export format, registry histograms absorb
+// observations and per-round tracers fold into the registry. It asserts nothing beyond "no race, no panic,
 // no torn render": the point is that `go test -race ./internal/obs`
 // proves the telemetry plane safe under full read/write concurrency.
 func TestExporterConcurrencyStress(t *testing.T) {
-	tr := New("stress")
-	stream := tr.EnableStream(128)
+	stream := NewStream(128)
+	tr := NewWithHook("stress", stream.Publish)
 	reg := NewRegistry()
 	ctx := WithTracer(context.Background(), tr)
 
@@ -32,7 +32,6 @@ func TestExporterConcurrencyStress(t *testing.T) {
 			h := reg.Histogram(fmt.Sprintf(`stress_seconds{writer="%d"}`, w))
 			for i := 0; i < rounds; i++ {
 				sp, sctx := StartSpan(ctx, "stage")
-				sp.SetScope(fmt.Sprintf("job-%d-%d", w, i))
 				child, _ := StartSpan(sctx, "solve")
 				child.Add("pivots", int64(i))
 				child.Gauge("nodes", int64(i))
@@ -40,6 +39,11 @@ func TestExporterConcurrencyStress(t *testing.T) {
 				child.Event("tick")
 				child.End()
 				sp.End()
+				job := NewWithHook("job", stream.Publish)
+				jsp, _ := StartSpan(WithTracer(context.Background(), job), "solve")
+				jsp.Add("pivots", int64(i))
+				jsp.End()
+				reg.Fold(job)
 				h.Observe(time.Duration(i) * time.Microsecond)
 				reg.Add("stress_total", 1)
 				reg.Set("stress_gauge", int64(i))

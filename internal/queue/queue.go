@@ -817,6 +817,10 @@ func (q *Queue) trimTerminalLocked() {
 	q.order = keep
 }
 
+// Events returns the stream the queue publishes stage events into (nil
+// when none is configured).
+func (q *Queue) Events() *obs.Stream { return q.cfg.Events }
+
 // Get returns a job snapshot by ID.
 func (q *Queue) Get(id string) (Job, bool) {
 	q.mu.Lock()
